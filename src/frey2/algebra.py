@@ -63,6 +63,8 @@ class Domain:
 
     zero = None
     one = None
+    # Every nonzero element is a unit, so a/b may be computed as a * inv(b).
+    is_field = False
 
     def add(self, a, b):
         raise NotImplementedError
@@ -119,6 +121,7 @@ class RationalField(Domain):
 
     zero = Fraction(0)
     one = Fraction(1)
+    is_field = True
 
     def add(self, a, b):
         return a + b
@@ -481,13 +484,16 @@ def bareiss_det(rows, dom: Domain):
             else:
                 return dom.zero
         pivot = M[k][k]
+        # prev is a nonzero earlier pivot: over a field invert it once per
+        # step instead of once per entry; other domains divide exactly.
+        pinv = dom.inv(prev) if dom.is_field else None
+        row_k = M[k]
         for i in range(k + 1, n):
             row_i = M[i]
-            row_k = M[k]
             lead = row_i[k]
             for j in range(k + 1, n):
                 num = dom.sub(dom.mul(row_i[j], pivot), dom.mul(lead, row_k[j]))
-                row_i[j] = dom.exact_div(num, prev)
+                row_i[j] = dom.exact_div(num, prev) if pinv is None else dom.mul(num, pinv)
             row_i[k] = dom.zero
         prev = pivot
     det = M[n - 1][n - 1]

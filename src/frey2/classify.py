@@ -18,11 +18,12 @@ i.e. v2(t) = -4 mod r).  `cross_validate` runs both plus the matching
 reduction pipeline and reports conflicts without adjudicating them.
 """
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import check_odd_prime, v2
-from .errors import DegenerateParameter, NotCovered
+from .errors import DegenerateParameter, NotCovered, PipelineAssertionFailed
 from .pipelines import (
     PipelineResult,
     field_of_definition,
@@ -202,37 +203,47 @@ class CrossValidation:
     notes: list[str] = field(default_factory=list)
 
 
+@functools.lru_cache(maxsize=64)
+def _even_pipeline(signature: str, case: str, r: int | None) -> PipelineResult:
+    """The ppr-even or 35p pipeline of one valuation case, run once per process.
+
+    These pipelines certify their case for every t at once, so the result
+    depends on (signature, case, r) only.  The names are looked up in this
+    module's globals at call time, so a miss runs whatever they are bound
+    to.  Callers share the returned result and must not mutate it.
+    """
+    if signature == "ppr-even":
+        return pipeline_ppr_even(case, r)
+    return pipeline_35p(case)
+
+
 def _oracle_exponent_even(signature: str, r: int | None, t: Fraction):
     """Pipeline plus congruence for the even-degree (all-t) signatures."""
     vt = v2(t)
     v1t = v2(1 - t)
     if signature == "ppr-even":
         if vt < 0:
-            res = pipeline_ppr_even("v_neg", r)
+            case = "v_neg"
             exp = 0 if vt % r == 0 else 2
             why = (
                 "good reduction over the degree-r chart; the extension is "
                 "unramified iff r | v2(t)"
             )
-        elif vt > 0:
-            res = pipeline_ppr_even("v_t_pos", r)
-            exp, why = 1, "nodal (toric) reduction"
         else:
-            res = pipeline_ppr_even("v_1mt_pos", r)
+            case = "v_t_pos" if vt > 0 else "v_1mt_pos"
             exp, why = 1, "nodal (toric) reduction"
-        return res, exp, why
-    if vt > 0:
-        res = pipeline_35p("v_t_pos")
+    elif vt > 0:
+        case = "v_t_pos"
         exp = 0 if vt % 3 == 0 else 2
         why = "good reduction over the cube-root chart; unramified iff 3 | v2(t)"
     elif v1t > 0:
-        res = pipeline_35p("v_1mt_pos")
+        case = "v_1mt_pos"
         exp = 0 if v1t % 5 == 0 else 2
         why = "good reduction over the fifth-root chart; unramified iff 5 | v2(1-t)"
     else:
-        res = pipeline_35p("v_neg")
+        case = "v_neg"
         exp, why = 1, "nodal (toric) reduction"
-    return res, exp, why
+    return _even_pipeline(signature, case, r if signature == "ppr-even" else None), exp, why
 
 
 def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
@@ -272,8 +283,10 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
             f"exponent {oracle_exp} at t = {t} (case {printed.case})"
         )
     if oracle_rep.covered() and oracle_rep.exponent != oracle_exp:
-        notes.append(
-            "internal: oracle-mode classify disagrees with the pipeline itself"
+        raise PipelineAssertionFailed(
+            f"internal contradiction for {signature} at t = {t}: oracle-mode "
+            f"classify gives exponent {oracle_rep.exponent}, the pipeline it "
+            f"wraps gives {oracle_exp}"
         )
     witness = f"{pipe.model_str()}  |  fiber: {pipe.fiber_str()} ({pipe.fiber_kind})"
     return CrossValidation(

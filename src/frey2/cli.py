@@ -1,9 +1,10 @@
 """Command-line front end: verify | classify | reduce | table.
 
-Exit codes: 0 success, 1 usage error, 2 degenerate parameter,
-3 not covered, 4 pipeline assertion failure.  Known printed-source
-discrepancies are reported as "documented-mismatch" and never change the
-exit code; only a failed check the source states verbatim does.
+Exit codes: 0 success, 1 usage error (including an r that is not an odd
+prime), 2 degenerate parameter, 3 not covered, 4 pipeline assertion
+failure or any other internal error.  Known printed-source discrepancies
+are reported as "documented-mismatch" and never change the exit code;
+only a failed check the source states verbatim does.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .errors import (
     Frey2Error,
     HypothesisViolated,
     NotCovered,
+    NotOddPrime,
     PipelineAssertionFailed,
 )
 from .families import (
@@ -435,6 +437,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return e.code
+    except NotOddPrime as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except DegenerateParameter as e:
         print(f"degenerate parameter: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -443,6 +448,11 @@ def main(argv=None) -> int:
         return EXIT_NOT_COVERED
     except PipelineAssertionFailed as e:
         print(f"assertion failure: {e}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except Frey2Error as e:
+        # FieldTooLarge, ValuationAmbiguous, NonIntegral, ...: one line, no traceback
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
         return EXIT_ASSERTION
 
     if args.format == "json":

@@ -178,11 +178,17 @@ def apply_change(E: HyperEq, M: MobiusChange) -> ChangeResult:
     q_star = _clearing_transform(E.Q, M.a, M.b, M.c, M.d, g + 1)
     p_star = _clearing_transform(E.P, M.a, M.b, M.c, M.d, 2 * g + 2)
     two_shift = M.shift.scale(base.from_int(2))
-    new_Q = (two_shift + q_star).map_coeffs(lambda co: base.exact_div(co, M.e), E.ring)
-    e2 = base.mul(M.e, M.e)
-    new_P = (p_star - M.shift * M.shift - q_star * M.shift).map_coeffs(
-        lambda co: base.exact_div(co, e2), E.ring
-    )
+    num_Q = two_shift + q_star
+    num_P = p_star - M.shift * M.shift - q_star * M.shift
+    if base.is_field:
+        # one inverse of e instead of one exact division per coefficient
+        e_inv = base.inv(M.e)
+        new_Q = num_Q.scale(e_inv)
+        new_P = num_P.scale(base.mul(e_inv, e_inv))
+    else:
+        e2 = base.mul(M.e, M.e)
+        new_Q = num_Q.map_coeffs(lambda co: base.exact_div(co, M.e), E.ring)
+        new_P = num_P.map_coeffs(lambda co: base.exact_div(co, e2), E.ring)
     new_eq = HyperEq(new_Q, new_P, g)
     factor = base.mul(
         base.pow(M.e, -4 * (2 * g + 1)),

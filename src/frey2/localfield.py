@@ -39,6 +39,8 @@ from .gf2 import GF2, GF2k
 class TameField(Domain):
     """Q(pi) with pi^r = 2, r an odd prime; elements are Fraction tuples."""
 
+    is_field = True
+
     def __init__(self, r: int):
         from .algebra import check_odd_prime
 
@@ -63,8 +65,14 @@ class TameField(Domain):
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
     def neg(self, a):
         return tuple(-x for x in a)
+
+    def is_zero(self, a):
+        return not any(a)
 
     def mul(self, a, b):
         r = self.r

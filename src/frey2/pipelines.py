@@ -400,19 +400,30 @@ def pipeline_35p(case: str, interval: WeightInterval | None = None) -> PipelineR
     )
 
 
+def _check_hypothesis(z, s, r: int) -> tuple[Fraction, Fraction]:
+    """(z, s) as Fractions after checking z, s != 0 and v2(z^r) >= v2(s^2) + 4.
+
+    Zero is tested first: its valuation is undefined.
+    """
+    check_odd_prime(r)
+    z = Fraction(z)
+    s = Fraction(s)
+    if z == 0 or s == 0:
+        raise HypothesisViolated(f"need z and s nonzero; got z = {z}, s = {s}")
+    if r * v2(z) < 2 * v2(s) + 4:
+        raise HypothesisViolated(
+            f"need v2(z^r) >= v2(s^2) + 4; got {r * v2(z)} < {2 * v2(s) + 4}"
+        )
+    return z, s
+
+
 def field_of_definition(z, s, r: int) -> bool:
     """True iff the good-reduction model descends to the 2-adic base field.
 
     Criterion: r divides v2(s'^2) + 4 after twist normalization (a twist
     moves v2(s^2) by 2r, so the class mod r is twist-invariant).
     """
-    check_odd_prime(r)
-    z = Fraction(z)
-    s = Fraction(s)
-    if s == 0 or r * v2(z) < 2 * v2(s) + 4:
-        raise HypothesisViolated(
-            f"need v2(z^r) = {r * v2(z) if z else '-inf'} >= v2(s^2)+4 = {2 * v2(s) + 4}"
-        )
+    z, s = _check_hypothesis(z, s, r)
     _, _, s1 = normalize_twist(z, s, r)
     return (2 * v2(s1) + 4) % r == 0
 
@@ -429,13 +440,7 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
 
     is integral, has unit discriminant, and has a smooth special fiber.
     """
-    check_odd_prime(r)
-    z = Fraction(z)
-    s = Fraction(s)
-    if s == 0 or r * v2(z) < 2 * v2(s) + 4:
-        raise HypothesisViolated(
-            f"need v2(z^r) >= v2(s^2) + 4; got {r * v2(z)} < {2 * v2(s) + 4}"
-        )
+    z, s = _check_hypothesis(z, s, r)
     label = f"odd-good/r={r}"
     delta, z1, s1 = normalize_twist(z, s, r)
     g = (r - 1) // 2

@@ -17,6 +17,7 @@ from frey2.algebra import (
     v2,
 )
 from frey2.errors import InexactDivision, ZeroElement, ZeroInput
+from frey2.localfield import TameField
 
 R = PolyRing(QQ, "x")
 x = R.gen
@@ -129,6 +130,47 @@ def test_bareiss_against_fraction_gauss(rng):
         n = rng.randint(1, 6)
         rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
         assert bareiss_det(rows, QQ) == _fraction_gauss_det(rows)
+
+
+def _cofactor_det(rows, dom):
+    """Independent determinant: Laplace expansion along the first row."""
+    if not rows:
+        return dom.one
+    det = dom.zero
+    for j, a in enumerate(rows[0]):
+        if dom.is_zero(a):
+            continue
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = dom.mul(a, _cofactor_det(minor, dom))
+        det = dom.add(det, term if j % 2 == 0 else dom.neg(term))
+    return det
+
+
+@st.composite
+def square_matrices(draw):
+    """(domain, rows): up to 5x5 over QQ, Q(2^(1/3)) or Q(2^(1/5)), sparse
+    entries, and the top of the first column zeroed so Bareiss must swap rows."""
+    dom = draw(st.sampled_from([QQ, TameField(3), TameField(5)]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    rational = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    )
+    if dom is QQ:
+        entry = rational
+    else:
+        entry = st.lists(rational, min_size=dom.r, max_size=dom.r).map(dom.element)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(draw(st.integers(min_value=0, max_value=n))):
+        rows[i][0] = dom.zero
+    return dom, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_bareiss_against_cofactor_expansion(case):
+    dom, rows = case
+    assert bareiss_det(rows, dom) == _cofactor_det(rows, dom)
 
 
 def test_bivariate_resultant():

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +16,24 @@ from frey2.classify import (
     inertial_type,
     residue_degree,
 )
-from frey2.errors import DegenerateParameter, NotCovered, NotOddPrime
-from frey2.pipelines import field_of_definition
+from frey2.cli import generate_table
+from frey2.errors import (
+    DegenerateParameter,
+    NotCovered,
+    NotOddPrime,
+    PipelineAssertionFailed,
+)
+from frey2.fibers import SpecialFiber
+from frey2.pipelines import (
+    P35_CASES,
+    PPR_EVEN_CASES,
+    field_of_definition,
+    pipeline_35p,
+    pipeline_ppr_even,
+)
+
+# the package re-exports the function `classify` under the module's name
+classify_mod = importlib.import_module("frey2.classify")
 
 
 def test_residue_degree_examples():
@@ -171,3 +189,54 @@ def test_ppr_odd_conflict_classes():
                 assert (printed, oracle) == (2, 0)
             else:
                 assert printed == oracle == 2
+
+
+def test_internal_contradiction_is_a_hard_failure(monkeypatch):
+    """Oracle-mode classify disagreeing with its own pipeline raises."""
+    real = classify_mod.field_of_definition
+    monkeypatch.setattr(
+        classify_mod, "field_of_definition", lambda z, s, r: not real(z, s, r)
+    )
+    with pytest.raises(PipelineAssertionFailed, match="internal contradiction"):
+        cross_validate("ppr-odd", 3, F(1, 16))
+    with pytest.raises(PipelineAssertionFailed, match="internal contradiction"):
+        cross_validate("rrp", 3, 16)
+
+
+def test_table_grid_runs_each_t_independent_pipeline_once(monkeypatch):
+    calls = []
+    for name in ("pipeline_ppr_even", "pipeline_35p"):
+        real = getattr(classify_mod, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(classify_mod, name, counting)
+    classify_mod._even_pipeline.cache_clear()
+    rows = generate_table([3, 5, 7])
+    assert len(rows) == 217
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
+
+
+def _result_fields(res):
+    out = {}
+    for f in dataclasses.fields(res):
+        value = getattr(res, f.name)
+        if isinstance(value, SpecialFiber):
+            value = (value.field, value.eq)
+        out[f.name] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "signature, case, r",
+    [("ppr-even", c, 3) for c in PPR_EVEN_CASES] + [("35p", c, None) for c in P35_CASES],
+)
+def test_cached_pipeline_result_equals_fresh_run(signature, case, r):
+    cached = classify_mod._even_pipeline(signature, case, r)
+    assert classify_mod._even_pipeline(signature, case, r) is cached
+    fresh = pipeline_ppr_even(case, r) if signature == "ppr-even" else pipeline_35p(case)
+    assert fresh is not cached
+    assert _result_fields(cached) == _result_fields(fresh)

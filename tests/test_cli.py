@@ -1,7 +1,10 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+from frey2 import cli
 from frey2.cli import (
     EXIT_ASSERTION,
     EXIT_DEGENERATE,
@@ -12,6 +15,9 @@ from frey2.cli import (
     main,
     parse_r_range,
 )
+from frey2.errors import FieldTooLarge, NonIntegral, NotOddPrime, ValuationAmbiguous
+
+GOLDEN_TABLE = Path(__file__).parent / "golden" / "table_r3-7.json"
 
 
 def run(capsys, *argv):
@@ -167,3 +173,74 @@ def test_generate_table_grid_exponent_listing():
     ppr_even = [r for r in rows if r["signature"] == "ppr-even"]
     vals = sorted({r["valuation"] for r in ppr_even})
     assert vals == [v for v in range(-9, 10) if v != 0]
+
+
+@pytest.mark.parametrize("z, s", [("1", "0"), ("0", "1")])
+def test_reduce_odd_good_zero_parameter_not_covered(capsys, z, s):
+    code, _, err = run(
+        capsys, "reduce", "--pipeline", "odd-good", "--z", z, "--s", s, "--r", "3"
+    )
+    assert code == EXIT_NOT_COVERED
+    assert err.startswith("not covered:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify", "--signature", "35p", "--t", "3", "--oracle-check"], EXIT_OK),
+        (["bogus"], EXIT_USAGE),
+        (["classify", "--signature", "ppr-even", "--r", "4", "--t", "1/2"], EXIT_USAGE),
+        (["classify", "--signature", "ppr-even", "--r", "3", "--t", "x"], EXIT_USAGE),
+        (["table", "--r", "3", "--grid-exponents", "a..b"], EXIT_USAGE),
+        (["classify", "--signature", "35p", "--t", "0"], EXIT_DEGENERATE),
+        (["classify", "--signature", "rrp", "--r", "3", "--t", "6", "--oracle-check"],
+         EXIT_NOT_COVERED),
+    ],
+)
+def test_exit_code_contract(capsys, argv, expected):
+    code, _, err = run(capsys, *argv)
+    assert code in range(5)
+    assert code == expected
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [
+        (NotOddPrime("r = 9 is not an odd prime"), EXIT_USAGE),
+        (FieldTooLarge("needs GF(2^18)"), EXIT_ASSERTION),
+        (ValuationAmbiguous("two terms tie\nat w = 1"), EXIT_ASSERTION),
+        (NonIntegral("element of valuation -1 has no residue"), EXIT_ASSERTION),
+    ],
+)
+def test_escaping_errors_map_to_exit_codes(monkeypatch, capsys, error, expected):
+    def boom(args):
+        raise error
+
+    monkeypatch.setattr(cli, "run_classify", boom)
+    code, _, err = run(capsys, "classify", "--signature", "35p", "--t", "3")
+    assert code == expected
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_internal_contradiction_exits_4(monkeypatch, capsys):
+    classify_mod = importlib.import_module("frey2.classify")
+    real = classify_mod.field_of_definition
+    monkeypatch.setattr(
+        classify_mod, "field_of_definition", lambda z, s, r: not real(z, s, r)
+    )
+    code, _, err = run(
+        capsys, "classify", "--signature", "ppr-odd", "--r", "3", "--t", "1/16",
+        "--oracle-check",
+    )
+    assert code == EXIT_ASSERTION
+    assert err.startswith("assertion failure: internal contradiction")
+
+
+def test_table_json_matches_golden(tmp_path):
+    """`frey2 table --r 3..7 --format json` stays byte-identical."""
+    path = tmp_path / "table.json"
+    assert main(["table", "--r", "3..7", "--format", "json", "--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == GOLDEN_TABLE.read_bytes()

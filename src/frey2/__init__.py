@@ -4,12 +4,15 @@ hyperelliptic curve families.
 The package is pure exact arithmetic end to end: arbitrary-precision
 rationals, dense polynomials over pluggable coefficient domains, small
 binary fields, the tame field Q(2^(1/r)), and weighted formal Laurent
-models.  Bulk GF(2^m) scans use a compiled kernel when available
-(`frey2.gf2.KERNEL_BACKEND` names the active one).
+models.  It needs no build step: GF(2^k) roots come from gcds and trace
+splitting, not from an exhaustive scan.
+
+`frey2.classify` is the classification module; its function is
+`frey2.classify.classify`.
 """
 
 from .algebra import Poly, PolyRing, QQ, discriminant, resultant, v2
-from .classify import classify, cross_validate, inertial_type, residue_degree
+from .classify import cross_validate, inertial_type, residue_degree
 from .curves import (
     HyperEq,
     MobiusChange,
@@ -25,8 +28,8 @@ from .families import (
     verify_closed_form_disc,
     verify_identities,
 )
-from .fibers import SpecialFiber, classify_point, fiber_type, singular_points
-from .gf2 import GF2, GF2k, KERNEL_BACKEND, gf2k, roots_in_gf2k
+from .fibers import SpecialFiber, classify_point, fiber_kind, fiber_type, singular_points
+from .gf2 import GF2, GF2k, gf2k, roots_in_gf2k
 from .localfield import (
     AffineVal,
     FormalParam,

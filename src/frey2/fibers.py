@@ -14,7 +14,7 @@ from .algebra import Poly, PolyRing
 from .curves import HyperEq, infinity_patch
 from .errors import FieldTooLarge, Frey2Error, PointNotOnCurve
 from . import gf2
-from .gf2 import GF2k, embed_poly, irreducible_factor_degrees, kernel
+from .gf2 import GF2k, embed_poly, irreducible_factor_degrees
 
 SMOOTH = "smooth"
 NODE = "node"
@@ -48,6 +48,16 @@ class SpecialFiber:
     def patches(self):
         inf = infinity_patch(self.eq)
         return ((AFFINE, self.eq.Q, self.eq.P), (INFINITY, inf.Q, inf.P))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SpecialFiber)
+            and self.field == other.field
+            and self.eq == other.eq
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.eq))
 
     def __repr__(self):
         from .curves import equation_str
@@ -147,22 +157,30 @@ def singular_points(F: SpecialFiber, field: GF2k | None = None) -> list[PointRep
     return out
 
 
+def fiber_kind(points: list[PointReport]) -> tuple[str, int]:
+    """('smooth' | 'nodal' | 'non-semistable', node count) of a fiber
+    whose singular points are `points`."""
+    if not points:
+        return "smooth", 0
+    if all(p.kind == NODE for p in points):
+        return "nodal", len(points)
+    return "non-semistable", sum(1 for p in points if p.kind == NODE)
+
+
 def fiber_type(F: SpecialFiber) -> tuple[str, int]:
     """('smooth' | 'nodal' | 'non-semistable', node count)."""
-    pts = singular_points(F)
-    if not pts:
-        return "smooth", 0
-    if all(p.kind == NODE for p in pts):
-        return "nodal", len(pts)
-    return "non-semistable", sum(1 for p in pts if p.kind == NODE)
+    return fiber_kind(singular_points(F))
 
 
 def brute_force_singular(F: SpecialFiber, m: int) -> set[tuple[str, int, int]]:
-    """Oracle: test the three Jacobian-criterion equations at every point.
+    """Oracle: test the Jacobian-criterion equations at every a in GF(2^m).
 
-    Scans all of GF(2^m)^2 on both charts (the second chart contributes its
-    u = 0 points).  The fiber's coefficients are embedded into GF(2^m), so
-    m must be a multiple of the coefficient field degree.
+    A singular point needs Q(a) = 0, and then b^2 = P(a) leaves the single
+    candidate b = sqrt(P(a)); the point is kept when b Q'(a) = P'(a).  Both
+    charts are scanned (the second contributes its u = 0 point).  The
+    fiber's coefficients are embedded into GF(2^m), so m must be a
+    multiple of the coefficient field degree.  Independent of the root
+    finder: every element is evaluated.
     """
     if m > 8:
         raise FieldTooLarge("brute-force scans support m <= 8")
@@ -172,12 +190,11 @@ def brute_force_singular(F: SpecialFiber, m: int) -> set[tuple[str, int, int]]:
         ring = PolyRing(big, Q.ring.var)
         Qb = embed_poly(Q, F.field, ring)
         Pb = embed_poly(P, F.field, ring)
-        hits = kernel.scan_singular(
-            m, big.modulus, [Qb.coeff(i) for i in range(Qb.degree() + 1)],
-            [Pb.coeff(i) for i in range(Pb.degree() + 1)],
-        )
-        for a, b in hits:
-            if patch == INFINITY and a != 0:
+        dQ, dP = Qb.derivative(), Pb.derivative()
+        for a in big.elements() if patch == AFFINE else (0,):
+            if Qb.eval(a) != 0:
                 continue
-            found.add((patch, a, b))
+            b = big.sqrt(Pb.eval(a))
+            if big.mul(b, dQ.eval(a)) == dP.eval(a):
+                found.add((patch, a, b))
     return found

@@ -1,27 +1,19 @@
 """Small binary fields GF(2^k), k <= 16.
 
 Field elements are plain ints interpreted as bit vectors over GF(2); the
-zero and one elements are 0 and 1.  Arithmetic is carry-less
-multiplication reduced by the field modulus.  Bulk operations (exhaustive
-root search, brute-force fiber scans) are delegated to a compiled kernel
-when available, with a pure-Python fallback selected at import time.
+zero and one elements are 0 and 1.  Arithmetic goes through discrete-log
+tables built once per (k, modulus).  Roots are found algebraically:
+gcd(H, x^(2^k) - x) keeps the distinct linear factors of H, and trace
+maps split them apart, so the cost grows polynomially in k.  The package
+is pure Python; `KERNEL_BACKEND` names that single backend.
 """
 
-import os
 from functools import lru_cache
 
 from .algebra import Domain, Poly, PolyRing, gcd_monic
 from .errors import DivisionByZero, FieldTooLarge, Frey2Error, ZeroInput
 
-if os.environ.get("FREY2_PURE"):
-    from . import _scan_py as kernel
-else:
-    try:
-        from . import _scan as kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _scan_py as kernel
-
-KERNEL_BACKEND = kernel.BACKEND
+KERNEL_BACKEND = "python"
 
 # Lowest-weight irreducible polynomial of each degree, found by exhaustive
 # search with trial division; verified again at field construction.
@@ -66,6 +58,77 @@ def gf2_poly_irreducible(m: int) -> bool:
     return True
 
 
+def _clmul_mod(a: int, b: int, modulus: int, k: int) -> int:
+    """Carry-less product a*b reduced by the degree-k modulus."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> k:
+            a ^= modulus
+    return r
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+
+
+def _tables(k: int, modulus: int) -> tuple[list[int], list[int]]:
+    """(exp, log) discrete-log tables of GF(2^k)*, built from a generator.
+
+    exp has 2 * (2^k - 1) entries, so exp[log a + log b] needs no reduction;
+    cached per (k, modulus) because fields are also built outside `gf2k`.
+    """
+    key = (k, modulus)
+    cached = _TABLES.get(key)
+    if cached is not None:
+        return cached
+    order = (1 << k) - 1
+    primes = _prime_factors(order)
+    gen = 1  # GF(2)* is trivial
+    for g in range(2, 1 << k):
+        # g generates iff g^(order/p) != 1 for every prime p | order
+        generates = True
+        for p in primes:
+            acc, base, e = 1, g, order // p
+            while e:
+                if e & 1:
+                    acc = _clmul_mod(acc, base, modulus, k)
+                base = _clmul_mod(base, base, modulus, k)
+                e >>= 1
+            if acc == 1:
+                generates = False
+                break
+        if generates:
+            gen = g
+            break
+    exp = [1] * (2 * order)
+    log = [0] * (1 << k)
+    v = 1
+    for i in range(order):
+        exp[i] = v
+        log[v] = i
+        v = _clmul_mod(v, gen, modulus, k)
+    exp[order:] = exp[:order]
+    _TABLES[key] = (exp, log)
+    return exp, log
+
+
 class GF2k(Domain):
     """The field with 2^k elements, elements represented as ints."""
 
@@ -84,24 +147,24 @@ class GF2k(Domain):
         self.k = k
         self.modulus = modulus
         self.order = 1 << k
+        self._exp, self._log = _tables(k, modulus)
 
     def add(self, a, b):
+        return a ^ b
+
+    def sub(self, a, b):
         return a ^ b
 
     def neg(self, a):
         return a
 
+    def is_zero(self, a):
+        return not a
+
     def mul(self, a, b):
-        r = 0
-        m, k = self.modulus, self.k
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a >> k:
-                a ^= m
-        return r
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def from_int(self, n):
         return n & 1
@@ -112,14 +175,23 @@ class GF2k(Domain):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in GF(2^k)")
-        return self.pow(a, self.order - 2)
+        return self._exp[self.order - 1 - self._log[a]]
+
+    def pow(self, a, n: int):
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        if not a:
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.order - 1)]
 
     def exact_div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def sqrt(self, a):
         """Unique square root: the Frobenius inverse a^(2^(k-1))."""
-        return self.pow(a, 1 << (self.k - 1))
+        if not a:
+            return 0
+        return self._exp[(self._log[a] << (self.k - 1)) % (self.order - 1)]
 
     def characteristic(self):
         return 2
@@ -166,12 +238,117 @@ def reduce_mod2(H: Poly, var=None) -> Poly:
 
 
 def roots_in_gf2k(H: Poly, field: GF2k) -> list[int]:
-    """All roots of H in the field, by exhaustive evaluation of every element."""
+    """All roots of H in the field, in ascending order.
+
+    g = gcd(H, x^(2^k) - x) is the product of the distinct linear factors
+    of H.  It is split by g_j = gcd(g, Tr(beta_j x) mod g), beta_j = 2^j
+    over the polynomial basis: the roots of g_j are those with trace
+    Tr(beta_j a) = 0.  The trace form is nondegenerate, so two distinct
+    roots are separated at some j (Berlekamp 1970, in the characteristic-2
+    form of Cantor-Zassenhaus 1981); no randomness is needed.
+    """
     if H.is_zero():
         raise ZeroInput("root search on the zero polynomial")
     if H.base != field:
         raise TypeError("polynomial is not over the given field")
-    return list(kernel.find_roots(field.k, field.modulus, list(H.cs)))
+    exp, log, k = field._exp, field._log, field.k
+    h = _lmonic(list(H.cs), exp, log)
+    if len(h) < 2:
+        return []
+    xq = _ldivmod([0, 1], h, exp, log)[1]
+    for _ in range(k):
+        xq = _lsquare_mod(xq, h, exp, log)
+    xq = _ladd(xq, [0, 1])
+    roots = []
+    stack = [(_lgcd(h, xq, exp, log), 0)]
+    while stack:
+        g, j = stack.pop()
+        if len(g) < 3:
+            if len(g) == 2:  # g = x + a
+                roots.append(g[0])
+            continue
+        gj = g
+        while not 1 < len(gj) < len(g):
+            if j == k:
+                raise Frey2Error("trace splitting left roots unseparated")
+            gj = _lgcd(g, _ltrace_mod(1 << j, g, k, exp, log), exp, log)
+            j += 1
+        # the trace of beta_i x is constant on each part for every i < j
+        stack.append((gj, j))
+        stack.append((_ldivmod(g, gj, exp, log)[0], j))
+    return sorted(roots)
+
+
+# Dense polynomials over GF(2^k) as plain int lists, lowest degree first and
+# without trailing zeros, multiplied through the field's exp/log tables.
+
+
+def _ltrim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _ladd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] ^= c
+    return _ltrim(out)
+
+
+def _lmonic(a, exp, log):
+    _ltrim(a)
+    if not a or a[-1] == 1:
+        return a
+    s = len(exp) // 2 - log[a[-1]]
+    return [exp[log[c] + s] if c else 0 for c in a]
+
+
+def _ldivmod(a, m, exp, log):
+    """Quotient and remainder of a by the monic m."""
+    n = len(m) - 1
+    a = list(a)
+    q = [0] * max(len(a) - n, 0)
+    lm = [(j, log[c]) for j, c in enumerate(m[:n]) if c]
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i]
+        if c:
+            q[i - n] = c
+            lc, base = log[c], i - n
+            for j, l in lm:
+                a[base + j] ^= exp[lc + l]
+    return q, _ltrim(a[:n])
+
+
+def _lsquare_mod(a, m, exp, log):
+    """a^2 mod the monic m: in characteristic 2 squaring only squares each
+    coefficient and doubles each exponent."""
+    sq = [0] * (2 * len(a) - 1) if a else []
+    for i, c in enumerate(a):
+        if c:
+            sq[2 * i] = exp[2 * log[c]]
+    return _ldivmod(sq, m, exp, log)[1]
+
+
+def _ltrace_mod(beta, m, k, exp, log):
+    """Tr(beta x) = sum of (beta x)^(2^i), i < k, reduced mod the monic m."""
+    t = _ldivmod([0, beta], m, exp, log)[1]
+    tr = t
+    for _ in range(k - 1):
+        t = _lsquare_mod(t, m, exp, log)
+        tr = _ladd(tr, t)
+    return tr
+
+
+def _lgcd(a, b, exp, log):
+    """Monic gcd of a nonzero a and any b."""
+    a = _lmonic(list(a), exp, log)
+    b = _lmonic(list(b), exp, log)
+    while b:
+        a, b = b, _lmonic(_ldivmod(a, b, exp, log)[1], exp, log)
+    return a
 
 
 def frobenius_power_mod(H: Poly, i: int) -> Poly:

@@ -27,7 +27,7 @@ from .curves import (
 )
 from .errors import HypothesisViolated, PipelineAssertionFailed
 from .families import C_PLUS, C_ZS, H_35, build_curve, c_coefficients, omega_min_poly
-from .fibers import PointReport, SpecialFiber, fiber_type, singular_points
+from .fibers import PointReport, SpecialFiber, fiber_kind, singular_points
 from .gf2 import GF2
 from .localfield import (
     AffineVal,
@@ -214,7 +214,8 @@ def pipeline_ppr_even(case: str, r: int, interval: WeightInterval | None = None)
     _require(dval == expected_disc_val, label, f"discriminant valuation {expected_disc_val!r}")
 
     fib = _laurent_fiber(model, g)
-    kind, nodes = fiber_type(fib)
+    pts = singular_points(fib)
+    kind, nodes = fiber_kind(pts)
     _require((kind, nodes) == expected_fiber, label, f"fiber type {expected_fiber}")
 
     return PipelineResult(
@@ -228,7 +229,7 @@ def pipeline_ppr_even(case: str, r: int, interval: WeightInterval | None = None)
         fiber=fib,
         fiber_kind=kind,
         node_count=nodes,
-        points=singular_points(fib),
+        points=pts,
         field_of_definition="ramified-degree-r" if case == "v_neg" else "base",
         notes=notes,
     )
@@ -369,9 +370,9 @@ def pipeline_35p(case: str, interval: WeightInterval | None = None) -> PipelineR
     else:
         fib = _laurent_fiber(model, g)
 
-    kind, nodes = fiber_type(fib)
-    _require((kind, nodes) == expected_fiber, label, f"fiber type {expected_fiber}")
     pts = singular_points(fib)
+    kind, nodes = fiber_kind(pts)
+    _require((kind, nodes) == expected_fiber, label, f"fiber type {expected_fiber}")
     if case == "v_neg":
         _require(
             all(p.field.k == 2 and p.kind == "node" for p in pts) and len(pts) == 2,
@@ -501,7 +502,8 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
     _require(dval == 0, label, "unit discriminant")
 
     fib = _tame_fiber(model, L, g)
-    kind, nodes = fiber_type(fib)
+    pts = singular_points(fib)
+    kind, nodes = fiber_kind(pts)
     _require(kind == "smooth", label, "smooth special fiber")
 
     base_defined = all(L.is_base(c) for c in model.Q.cs + model.P.cs)
@@ -523,7 +525,7 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
         fiber=fib,
         fiber_kind=kind,
         node_count=nodes,
-        points=singular_points(fib),
+        points=pts,
         field_of_definition="base" if base_defined else "ramified-degree-r",
         base_defined=base_defined,
         notes=notes + [f"twist delta = {delta}, normalized (z', s') = ({z1}, {s1})"],

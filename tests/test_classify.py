@@ -1,9 +1,11 @@
 import dataclasses
-import importlib
+import types
 from fractions import Fraction as F
 
 import pytest
 
+import frey2
+import frey2.classify as classify_mod
 from frey2.algebra import v2
 from frey2.classify import (
     NOT_COVERED,
@@ -31,9 +33,6 @@ from frey2.pipelines import (
     pipeline_35p,
     pipeline_ppr_even,
 )
-
-# the package re-exports the function `classify` under the module's name
-classify_mod = importlib.import_module("frey2.classify")
 
 
 def test_residue_degree_examples():
@@ -240,3 +239,10 @@ def test_cached_pipeline_result_equals_fresh_run(signature, case, r):
     fresh = pipeline_ppr_even(case, r) if signature == "ppr-even" else pipeline_35p(case)
     assert fresh is not cached
     assert _result_fields(cached) == _result_fields(fresh)
+    assert cached == fresh
+
+
+def test_frey2_classify_is_the_module():
+    assert isinstance(frey2.classify, types.ModuleType)
+    assert frey2.classify is classify_mod
+    assert classify_mod.classify is classify

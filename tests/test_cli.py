@@ -1,9 +1,9 @@
-import importlib
 import json
 from pathlib import Path
 
 import pytest
 
+import frey2.classify as classify_mod
 from frey2 import cli
 from frey2.cli import (
     EXIT_ASSERTION,
@@ -226,7 +226,6 @@ def test_escaping_errors_map_to_exit_codes(monkeypatch, capsys, error, expected)
 
 
 def test_internal_contradiction_exits_4(monkeypatch, capsys):
-    classify_mod = importlib.import_module("frey2.classify")
     real = classify_mod.field_of_definition
     monkeypatch.setattr(
         classify_mod, "field_of_definition", lambda z, s, r: not real(z, s, r)

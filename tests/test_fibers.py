@@ -10,8 +10,10 @@ from frey2.fibers import (
     NON_SEMISTABLE,
     SMOOTH,
     SpecialFiber,
+    INFINITY,
     brute_force_singular,
     classify_point,
+    fiber_kind,
     fiber_type,
     singular_points,
     splitting_field,
@@ -208,3 +210,54 @@ def test_lemma_24_equivalence(rng):
                     and Pb.derivative().eval(p.a) == 0
                 )
                 assert (p.kind == NON_SEMISTABLE) == triple
+
+
+def _literal_scan(F, m):
+    """Every (a, b) of GF(2^m)^2 meeting all three Jacobian equations."""
+    from frey2.gf2 import embed_poly
+
+    big = gf2k(m)
+    R = poly_ring(big)
+    found = set()
+    for patch, Q, P in F.patches():
+        Qb, Pb = embed_poly(Q, F.field, R), embed_poly(P, F.field, R)
+        dQ, dP = Qb.derivative(), Pb.derivative()
+        for a in big.elements():
+            if patch == INFINITY and a != 0:
+                continue
+            qa, pa, dqa, dpa = Qb.eval(a), Pb.eval(a), dQ.eval(a), dP.eval(a)
+            for b in big.elements():
+                on_curve = big.add(big.mul(b, b), big.mul(b, qa)) == pa
+                if on_curve and qa == 0 and big.mul(b, dqa) == dpa:
+                    found.add((patch, a, b))
+    return found
+
+
+def test_brute_force_matches_literal_scan(rng):
+    fibers = [
+        fib([1, 0, 0, 1], [1, 1], 2),
+        fib([0, 1, 1], [], 1),
+        fib([], [0, 0, 1, 1], 1),
+        fib([], [0, 0, 0, 1], 1),
+    ]
+    fibers += [random_fiber(rng, rng.choice([1, 2, 4])) for _ in range(25)]
+    for Fb in fibers:
+        for m in range(Fb.field.k, 5, Fb.field.k):
+            assert brute_force_singular(Fb, m) == _literal_scan(Fb, m), (Fb, m)
+
+
+def test_fiber_kind_of_singular_points(rng):
+    for _ in range(20):
+        Fb = random_fiber(rng, rng.choice([1, 2]))
+        assert fiber_kind(singular_points(Fb)) == fiber_type(Fb)
+    assert fiber_kind([]) == ("smooth", 0)
+
+
+def test_special_fiber_equality():
+    a = fib([1, 0, 0, 1], [1, 1], 2)
+    b = fib([1, 0, 0, 1], [1, 1], 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != fib([1, 0, 0, 1], [1, 1], 2, field=gf2k(2))
+    assert a != fib([1, 0, 0, 1], [0, 1], 2)
+    assert a != fib([1, 0, 0, 1], [1, 1], 3)
+    assert a != a.eq

@@ -1,10 +1,9 @@
-import os
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frey2 import _scan_py
 from frey2.algebra import Poly, PolyRing, QQ
 from frey2.errors import NonIntegralCoefficient, ZeroInput
 from frey2.gf2 import (
@@ -15,7 +14,6 @@ from frey2.gf2 import (
     gf2_poly_irreducible,
     gf2k,
     irreducible_factor_degrees,
-    kernel,
     linear_factor_count,
     minpoly_over_subfield,
     poly_ring,
@@ -116,23 +114,6 @@ def test_root_count_matches_gcd_count(k, coeffs):
     assert len(roots) == linear_factor_count(H, F)
 
 
-def test_kernel_backends_agree(rng):
-    """Compiled and pure kernels must produce identical scans and roots."""
-    for _ in range(25):
-        k = rng.randint(1, 6)
-        F = gf2k(k)
-        deg = rng.randint(1, 6)
-        coeffs = [rng.randrange(F.order) for _ in range(deg)] + [rng.randrange(1, F.order)]
-        r_fast = kernel.find_roots(k, F.modulus, coeffs)
-        r_pure = _scan_py.find_roots(k, F.modulus, coeffs)
-        assert sorted(r_fast) == sorted(r_pure)
-        q = [rng.randrange(F.order) for _ in range(rng.randint(1, 4))]
-        p = [rng.randrange(F.order) for _ in range(rng.randint(1, 6))]
-        s_fast = kernel.scan_singular(k, F.modulus, q, p)
-        s_pure = _scan_py.scan_singular(k, F.modulus, q, p)
-        assert sorted(s_fast) == sorted(s_pure)
-
-
 def test_factor_degrees():
     R = poly_ring(GF2)
     # x^3 + 1 = (x+1)(x^2+x+1) over GF(2)
@@ -168,8 +149,81 @@ def test_minpoly_over_subfield():
     assert minpoly_over_subfield(inside, F16, F4).degree() == 1
 
 
-def test_pure_backend_env(monkeypatch):
-    assert kernel.BACKEND in ("cython", "python")
-    if kernel.BACKEND == "cython" and not os.environ.get("FREY2_PURE"):
-        # the fallback module is importable and interchangeable
-        assert _scan_py.BACKEND == "python"
+def clmul_mod(a, b, modulus, k):
+    """Reference product in GF(2^k): shift-and-add, then reduce."""
+    r = 0
+    for i in range(k):
+        if (b >> i) & 1:
+            r ^= a << i
+    for i in range(2 * k - 2, k - 1, -1):
+        if (r >> i) & 1:
+            r ^= modulus << (i - k)
+    return r
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_table_arithmetic_exhaustive(k):
+    F = gf2k(k)
+    for a in F.elements():
+        for b in F.elements():
+            assert F.mul(a, b) == clmul_mod(a, b, F.modulus, k)
+        s = F.sqrt(a)
+        assert clmul_mod(s, s, F.modulus, k) == a
+        if a:
+            assert clmul_mod(a, F.inv(a), F.modulus, k) == 1
+
+
+def test_table_arithmetic_gf2_16_samples():
+    F = gf2k(16)
+    rng = random.Random(16)
+    for _ in range(3000):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F.mul(a, b) == clmul_mod(a, b, F.modulus, 16)
+        s = F.sqrt(a)
+        assert clmul_mod(s, s, F.modulus, 16) == a
+        if a:
+            assert clmul_mod(a, F.inv(a), F.modulus, 16) == 1
+            assert F.pow(a, F.order - 1) == 1
+    for a in (0, 1, 2, F.order - 1):
+        assert F.mul(a, F.mul(a, a)) == F.pow(a, 3)
+
+
+@st.composite
+def gf2k_polys(draw):
+    """(k, H): a cofactor (constant, rootless or not) times chosen linear
+    factors, repeated roots and the root 0 included."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    F = gf2k(k)
+    elem = st.integers(min_value=0, max_value=F.order - 1)
+    cof = draw(st.lists(elem, min_size=0, max_size=4))
+    cof.append(draw(st.integers(min_value=1, max_value=F.order - 1)))
+    roots = draw(st.lists(elem, min_size=0, max_size=5))
+    H = gpoly(F, *cof)
+    for a in roots:
+        H = H * gpoly(F, a, 1)
+    return F, H
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf2k_polys())
+@example((gf2k(1), gpoly(GF2, 1)))  # nonzero constant
+@example((gf2k(1), gpoly(GF2, 1, 1, 1)))  # irreducible: no roots
+@example((gf2k(3), gpoly(gf2k(3), 0, 0, 5, 0, 1)))  # x^2 (x^2 + 5): 0 twice
+@example((gf2k(10), gpoly(gf2k(10), 1, 0, 1)))  # (x + 1)^2
+def test_roots_match_exhaustive_evaluation(case):
+    F, H = case
+    assert roots_in_gf2k(H, F) == [a for a in F.elements() if H.eval(a) == 0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_roots_gf2_16_known_roots(seed):
+    F = gf2k(16)
+    rng = random.Random(seed)
+    roots = sorted(rng.sample(range(F.order), 6))
+    H = gpoly(F, rng.randrange(1, F.order))
+    for a in roots:
+        H = H * gpoly(F, a, 1)
+    H = H * gpoly(F, rng.randrange(F.order), rng.randrange(F.order), 1)
+    got = roots_in_gf2k(H, F)
+    assert set(roots) <= set(got)
+    assert got == [a for a in F.elements() if H.eval(a) == 0]

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import frey2.pipelines as pipelines_mod
 from frey2.algebra import v2
 from frey2.curves import equation_str, hyper_discriminant
 from frey2.errors import HypothesisViolated, PipelineAssertionFailed
@@ -178,3 +179,26 @@ def test_assertion_failure_is_loud(monkeypatch):
     monkeypatch.setattr(pl, "_czs_disc", wrong)
     with pytest.raises(PipelineAssertionFailed):
         pipeline_odd_good_reduction(1, F(7, 4), 3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: pipeline_ppr_even("v_t_pos", 3),
+        lambda: pipeline_35p("v_neg"),
+        lambda: pipeline_odd_good_reduction(1, F(7, 4), 3),
+    ],
+    ids=["ppr-even", "35p", "odd-good"],
+)
+def test_pipeline_computes_singular_points_once(monkeypatch, run):
+    calls = []
+    real = pipelines_mod.singular_points
+
+    def counted(fib, *args):
+        calls.append(fib)
+        return real(fib, *args)
+
+    monkeypatch.setattr(pipelines_mod, "singular_points", counted)
+    res = run()
+    assert len(calls) == 1
+    assert res.points == real(res.fiber)

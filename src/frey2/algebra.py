@@ -2,7 +2,7 @@
 
 A *domain* object knows how to add, multiply, and exactly divide its
 elements; elements themselves are plain values (``Fraction`` for the
-rationals, ``Poly`` for polynomial coefficient rings, ints for binary
+rationals, ``Poly`` for polynomial coefficient rings, ints for finite
 fields, tuples for tame local fields).  Polynomials are immutable
 coefficient tuples, lowest degree first, with no trailing zeros.
 
@@ -12,6 +12,7 @@ domain and the final result is bit-exact.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     DivisionByZero,
@@ -160,6 +161,57 @@ class RationalField(Domain):
 
 
 QQ = RationalField()
+
+
+class PrimeField(Domain):
+    """The field GF(p) of integers mod a prime p, elements are ints 0..p-1."""
+
+    zero = 0
+    one = 1
+    is_field = True
+
+    def __init__(self, p: int):
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"{p} is not a prime")
+        self.order = p
+
+    def add(self, a, b):
+        return (a + b) % self.order
+
+    def sub(self, a, b):
+        return (a - b) % self.order
+
+    def neg(self, a):
+        return -a % self.order
+
+    def mul(self, a, b):
+        return a * b % self.order
+
+    def from_int(self, n):
+        return n % self.order
+
+    def exact_div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inv(self, a):
+        if a == 0:
+            raise DivisionByZero(f"inverse of 0 in GF({self.order})")
+        return pow(a, -1, self.order)
+
+    def characteristic(self):
+        return self.order
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and self.order == other.order
+
+    def __hash__(self):
+        return hash(("PrimeField", self.order))
+
+    def __repr__(self):
+        return f"GF({self.order})"
 
 
 class Poly:

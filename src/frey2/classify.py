@@ -22,8 +22,9 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import check_odd_prime, v2
+from .algebra import QQ, check_odd_prime, v2
 from .errors import DegenerateParameter, NotCovered, PipelineAssertionFailed
+from .families import C_MINUS, H_2R, H_RR, zs_params
 from .pipelines import (
     PipelineResult,
     field_of_definition,
@@ -33,6 +34,8 @@ from .pipelines import (
 )
 
 SIGNATURES = ("ppr-even", "ppr-odd", "rrp", "2rp", "35p")
+# the odd-degree signatures and the t-family whose (z, s) they reduce at
+ODD_FAMILY = {"ppr-odd": C_MINUS, "rrp": H_RR, "2rp": H_2R}
 
 GOOD = "good"
 TORIC = "toric"
@@ -148,7 +151,7 @@ def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED,
         if mode == TABLE_AS_PRINTED:
             zero = (vt - (-2)) % r == 0
         else:
-            zero = field_of_definition(1, 2 - 4 * t, r)
+            zero = field_of_definition(*zs_params(C_MINUS, r, QQ, t), r)
         if zero:
             return ConductorReport(signature, r, t, case, 0, GOOD, source, mode)
         return ConductorReport(signature, r, t, case, 2, inertial_type(r), source, mode)
@@ -163,9 +166,7 @@ def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED,
         if mode == TABLE_AS_PRINTED:
             zero = (m - 4) % r == 0
         else:
-            zero = field_of_definition(
-                t * (t - 1), (t * (t - 1)) ** ((r - 1) // 2) * (2 * t - 1), r
-            )
+            zero = field_of_definition(*zs_params(H_RR, r, QQ, t), r)
         if zero:
             return ConductorReport(signature, r, t, case, 0, GOOD, source, mode)
         return ConductorReport(signature, r, t, case, 2, inertial_type(r), source, mode)
@@ -180,9 +181,7 @@ def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED,
     if mode == TABLE_AS_PRINTED:
         zero = (m - 6) % r == 0
     else:
-        zero = field_of_definition(
-            t * (t - 1), 2 * (t - 1) ** ((r - 1) // 2) * t ** ((r + 1) // 2), r
-        )
+        zero = field_of_definition(*zs_params(H_2R, r, QQ, t), r)
     if zero:
         return ConductorReport(signature, r, t, case, 0, GOOD, source, mode)
     return ConductorReport(signature, r, t, case, 2, inertial_type(r), source, mode)
@@ -259,15 +258,7 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
     else:
         if not printed.covered():
             raise NotCovered(f"{signature} at t = {t}: no pipeline applies")
-        if signature == "ppr-odd":
-            z, s = Fraction(1), 2 - 4 * t
-        elif signature == "rrp":
-            z = t * (t - 1)
-            s = z ** ((r - 1) // 2) * (2 * t - 1)
-        else:
-            z = t * (t - 1)
-            s = 2 * (t - 1) ** ((r - 1) // 2) * t ** ((r + 1) // 2)
-        pipe = pipeline_odd_good_reduction(z, s, r)
+        pipe = pipeline_odd_good_reduction(*zs_params(ODD_FAMILY[signature], r, QQ, t), r)
         oracle_exp = 0 if pipe.base_defined else 2
         notes.append(
             "good-reduction model is base-defined"

@@ -128,12 +128,6 @@ class MobiusChange:
         return MobiusChange(base.one, base.zero, base.zero, base.one, base.one, ring.zero)
 
     @staticmethod
-    def x_scale(ring: PolyRing, a) -> "MobiusChange":
-        """x = a X (with y untouched up to the chart factor)."""
-        base = ring.base
-        return MobiusChange(a, base.zero, base.zero, base.one, base.one, ring.zero)
-
-    @staticmethod
     def y_sub(ring: PolyRing, e, shift=None) -> "MobiusChange":
         """y = e Y + shift(X), x unchanged."""
         base = ring.base

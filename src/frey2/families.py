@@ -3,9 +3,18 @@
 `darmon_f` builds the degree-r companion polynomial by the three-term
 recurrence V_{k+1} = x V_k - V_{k-1} (V_0 = 2, V_1 = x); `omega_min_poly`
 recovers the minimal polynomial h of 2cos(2*pi/r) as the exact square root
-of (f-2)/(x-2).  The construction is cross-asserted against the
+of (f-2)/(x-2), irreducible by a witness prime p at which h mod p has a
+single irreducible factor (distinct-degree factorization over the
+`PrimeField` GF(p)).  The construction is cross-asserted against the
 definitional formula f = (-1)^((r-1)/2) x h(2-x^2), so no cyclotomic
 arithmetic is ever needed.
+
+Each formula of the paper has one home here, over any coefficient domain:
+`zs_params` is the (z, s) parametrisation of the odd-degree t-families
+(C_minus, H_rr, H_2r), which `build_curve` and the classifier share, and
+`printed_disc` is the table of printed closed-form discriminants, which
+`verify_closed_form_disc` evaluates at the symbolic parameters and the
+pipelines at their Laurent, tame or rational ones.
 
 `verify_identities` checks the three factorization identities exactly and
 reports which square factor f-2 actually has (h(x), not the h(-x) some
@@ -22,13 +31,14 @@ from functools import lru_cache
 from .algebra import (
     Poly,
     PolyRing,
+    PrimeField,
     QQ,
     check_odd_prime,
     poly_sqrt,
-    poly_str,
 )
 from .curves import HyperEq, hyper_discriminant
 from .errors import DegenerateParameter, Frey2Error
+from .gf2 import irreducible_factor_degrees
 
 C_S = "C_s"
 C_PLUS = "C_plus"
@@ -42,19 +52,25 @@ ALL_FAMILIES = (C_S, C_PLUS, C_MINUS, C_ZS, H_RR, H_2R, H_35)
 CLOSED_FORM_FAMILIES = (C_ZS, C_PLUS, H_RR, H_2R, H_35)
 
 
-@lru_cache(maxsize=None)
-def darmon_f(r: int) -> Poly:
-    """Monic odd degree-r polynomial with f(2cos a) = 2cos(r a)."""
-    check_odd_prime(r)
+def _chebyshev(r: int) -> Poly:
+    """V_r by the recurrence V_{k+1} = x V_k - V_{k-1}, V_0 = 2, V_1 = x."""
     ring = PolyRing(QQ, "x")
     x = ring.gen
     a, b = ring.from_coeffs([2]), x
     for _ in range(r - 1):
         a, b = b, x * b - a
-    f = b
+    return b
+
+
+@lru_cache(maxsize=None)
+def darmon_f(r: int) -> Poly:
+    """Monic odd degree-r polynomial with f(2cos a) = 2cos(r a)."""
+    check_odd_prime(r)
+    f = _chebyshev(r)
+    ring = f.ring
     h = omega_min_poly(r)
     sign = -1 if ((r - 1) // 2) % 2 else 1
-    definitional = (x * h.compose(ring.from_coeffs([2, 0, -1]))).scale(
+    definitional = (ring.gen * h.compose(ring.from_coeffs([2, 0, -1]))).scale(
         Fraction(sign)
     )
     if f != definitional:
@@ -66,13 +82,8 @@ def darmon_f(r: int) -> Poly:
 def omega_min_poly(r: int) -> Poly:
     """Minimal polynomial of 2cos(2*pi/r), degree (r-1)/2, integer monic."""
     check_odd_prime(r)
-    ring = PolyRing(QQ, "x")
-    x = ring.gen
-    a, b = ring.from_coeffs([2]), x
-    for _ in range(r - 1):
-        a, b = b, x * b - a
-    f = b
-    h = poly_sqrt((f - 2).exact_div(x - 2))
+    f = _chebyshev(r)
+    h = poly_sqrt((f - 2).exact_div(f.ring.gen - 2))
     if h.degree() != (r - 1) // 2:
         raise Frey2Error("square factor has wrong degree")
     if any(c.denominator != 1 for c in h.cs):
@@ -90,70 +101,6 @@ def c_coefficients(r: int) -> list[Fraction]:
 
 # --- irreducibility over Q via a good-reduction witness prime ---------------
 
-def _modp_mul(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _modp_rem(out, m, p)
-
-
-def _modp_rem(a, m, p):
-    a = a[:]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < dm:
-            break
-        q = a[-1] * inv_lead % p
-        off = len(a) - 1 - dm
-        for j in range(dm + 1):
-            a[off + j] = (a[off + j] - q * m[j]) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _modp_gcd(a, b, p):
-    while any(b):
-        a, b = b, _modp_rem(a, b, p)
-    return a
-
-
-def _modp_irreducible(coeffs, p) -> bool:
-    """Distinct-degree irreducibility test over GF(p)."""
-    n = len(coeffs) - 1
-    m = [c % p for c in coeffs]
-    if m[-1] == 0:
-        return False
-    xq = [0, 1]
-    xq = _modp_rem(xq, m, p)
-    for d in range(1, n // 2 + 1):
-        # xq -> xq^p mod m
-        acc = [1]
-        base = xq
-        e = p
-        while e:
-            if e & 1:
-                acc = _modp_mul(acc, base, m, p)
-            base = _modp_mul(base, base, m, p)
-            e >>= 1
-        xq = acc
-        diff = xq[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = _modp_gcd(m, diff, p) if any(diff) else m
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
@@ -161,12 +108,16 @@ _SMALL_PRIMES = (
 
 
 def irreducibility_witness(h: Poly) -> int | None:
-    """A prime p with h irreducible mod p, proving irreducibility over Q."""
-    coeffs = [int(c) for c in h.cs]
+    """A prime p with h irreducible mod p, proving irreducibility over Q.
+
+    h mod p must keep its degree, and a single irreducible factor of that
+    degree (distinct-degree factorization) means it is irreducible.
+    """
+    n = h.degree()
     for p in _SMALL_PRIMES:
-        if coeffs[-1] % p == 0:
-            continue
-        if _modp_irreducible(coeffs, p):
+        field = PrimeField(p)
+        hp = h.map_coeffs(field.from_rational, PolyRing(field, h.ring.var))
+        if hp.degree() == n and irreducible_factor_degrees(hp) == {n}:
             return p
     return None
 
@@ -188,16 +139,6 @@ class CurveInstance:
         return f"{self.family}({ps}): {equation_str(self.equation)}"
 
 
-def _lift_poly(p: Poly, target: PolyRing) -> Poly:
-    """Lift a rational-coefficient polynomial into a char-0 coefficient ring."""
-    dom = target.base
-    return Poly(target, [dom.from_rational(c) for c in p.cs])
-
-
-def _dom_from_rational(dom, q):
-    return dom.from_rational(q)
-
-
 def czs_polynomial(r: int, z, s, ring: PolyRing) -> Poly:
     """x^r + sum_k c_k z^k x^(r-2k) + s over the given x-ring."""
     dom = ring.base
@@ -209,6 +150,26 @@ def czs_polynomial(r: int, z, s, ring: PolyRing) -> Poly:
         cs[r - 2 * k] = dom.mul(dom.from_rational(ck), zk)
     cs[0] = dom.add(cs[0], s)
     return Poly(ring, cs)
+
+
+def zs_params(family: str, r: int, dom, t):
+    """The Frey parametrisation (z, s) of an odd-degree t-family at t.
+
+    C_minus: z = 1, s = 2 - 4t; H_rr: z = t(t-1), s = z^((r-1)/2) (2t-1);
+    H_2r: z = t(t-1), s = 2 (t-1)^((r-1)/2) t^((r+1)/2).  The member is
+    the C_zs curve at (z, s); t may be an element of any domain `dom`.
+    """
+    one, two = dom.one, dom.from_int(2)
+    if family == C_MINUS:
+        return one, dom.sub(two, dom.mul(dom.from_int(4), t))
+    z = dom.mul(t, dom.sub(t, one))
+    if family == H_RR:
+        return z, dom.mul(dom.pow(z, (r - 1) // 2), dom.sub(dom.mul(two, t), one))
+    if family == H_2R:
+        return z, dom.mul(
+            two, dom.mul(dom.pow(dom.sub(t, one), (r - 1) // 2), dom.pow(t, (r + 1) // 2))
+        )
+    raise ValueError(f"{family} has no (z, s) parametrisation")
 
 
 def build_curve(family: str, r: int | None = None, *, t=None, z=None, s=None,
@@ -249,33 +210,12 @@ def build_curve(family: str, r: int | None = None, *, t=None, z=None, s=None,
     g = 2 if family == H_35 else (r - 1) // 2
     one = dom.one
 
-    if family == C_MINUS:
-        s_elt = dom.add(dom.from_rational(2), dom.neg(dom.mul(dom.from_rational(4), t)))
-        P = czs_polynomial(r, one, s_elt, ring)
-        eq = HyperEq(ring.zero, P, g)
-    elif family == C_PLUS:
-        f = _lift_poly(darmon_f(r), ring)
-        inner = f + ring.const(
-            dom.sub(dom.from_rational(2), dom.mul(dom.from_rational(4), t))
-        )
-        P = Poly(ring, (dom.mul(dom.from_rational(2), one), one)) * inner  # (x+2) * (...)
-        eq = HyperEq(ring.zero, P, g)
-    elif family == H_RR:
-        zz = dom.mul(t, dom.sub(t, one))
-        ss = dom.mul(
-            dom.pow(zz, (r - 1) // 2),
-            dom.sub(dom.mul(dom.from_rational(2), t), one),
-        )
-        P = czs_polynomial(r, zz, ss, ring)
-        eq = HyperEq(ring.zero, P, g)
-    elif family == H_2R:
-        zz = dom.mul(t, dom.sub(t, one))
-        ss = dom.mul(
-            dom.from_rational(2),
-            dom.mul(dom.pow(dom.sub(t, one), (r - 1) // 2), dom.pow(t, (r + 1) // 2)),
-        )
-        P = czs_polynomial(r, zz, ss, ring)
-        eq = HyperEq(ring.zero, P, g)
+    if family == C_PLUS:
+        # (x+2) times the C_minus polynomial f + 2 - 4t
+        P = czs_polynomial(r, *zs_params(C_MINUS, r, dom, t), ring)
+        eq = HyperEq(ring.zero, Poly(ring, (dom.from_int(2), one)) * P, g)
+    elif family in (C_MINUS, H_RR, H_2R):
+        eq = HyperEq(ring.zero, czs_polynomial(r, *zs_params(family, r, dom, t), ring), g)
     elif family == H_35:
         omt = dom.sub(one, t)  # 1 - t
         a = dom.mul(t, dom.pow(omt, 2))          # t(1-t)^2
@@ -393,56 +333,41 @@ class DiscReport:
     note: str = ""
 
 
-def _printed_closed_form(family: str, r: int | None, ring: PolyRing) -> Poly:
-    dom = ring.base
+def printed_disc(family: str, r: int | None, dom, params):
+    """The printed closed-form discriminant of a family, evaluated in `dom`.
 
-    def fr(q):
-        return dom.from_rational(Fraction(q))
-
+    `params` is the pair (z, s) for C_zs and the element t for the other
+    families.  The C_plus value is the bare polynomial discriminant, 2^(4g)
+    below the curve discriminant (see `verify_closed_form_disc`).
+    """
+    lead = dom.from_int
+    sign = -1 if r is not None and ((r - 1) // 2) % 2 else 1
     if family == C_ZS:
-        # over Q[z][s]: (-1)^((r-1)/2) 2^(2(r-1)) r^r (s^2 - 4 z^r)^((r-1)/2)
-        sring = dom
-        zring = sring.base
-        zg = sring.const(zring.gen)
-        sg = sring.gen
-        core = sring.sub(sring.mul(sg, sg), sring.mul(sring.from_int(4), sring.pow(zg, r)))
-        sign = -1 if ((r - 1) // 2) % 2 else 1
-        val = sring.mul(
-            sring.from_rational(Fraction(sign * 2 ** (2 * (r - 1)) * r**r)),
-            sring.pow(core, (r - 1) // 2),
-        )
-        return ring.const(val)
-    tdom = dom
-    tg = tdom.gen
-    one = tdom.one
+        z, s = params
+        core = dom.sub(dom.mul(s, s), dom.mul(lead(4), dom.pow(z, r)))
+        return dom.mul(lead(sign * 2 ** (2 * (r - 1)) * r**r), dom.pow(core, (r - 1) // 2))
+    t = params
     if family == C_PLUS:
-        val = tdom.mul(
-            tdom.from_rational(Fraction(2 ** (2 * (r + 1)) * r**r)),
-            tdom.mul(tdom.pow(tg, (r + 3) // 2), tdom.pow(tdom.sub(one, tg), (r - 1) // 2)),
+        return dom.mul(
+            lead(2 ** (2 * (r + 1)) * r**r),
+            dom.mul(dom.pow(t, (r + 3) // 2), dom.pow(dom.sub(dom.one, t), (r - 1) // 2)),
         )
-    elif family == H_RR:
-        sign = -1 if ((r - 1) // 2) % 2 else 1
-        val = tdom.mul(
-            tdom.from_rational(Fraction(sign * 2 ** (2 * (r - 1)) * r**r)),
-            tdom.pow(tdom.mul(tg, tdom.sub(tg, one)), (r - 1) ** 2 // 2),
+    t_minus_1 = dom.sub(t, dom.one)
+    if family == H_RR:
+        return dom.mul(
+            lead(sign * 2 ** (2 * (r - 1)) * r**r),
+            dom.pow(dom.mul(t, t_minus_1), (r - 1) ** 2 // 2),
         )
-    elif family == H_2R:
-        sign = -1 if ((r - 1) // 2) % 2 else 1
-        val = tdom.mul(
-            tdom.from_rational(Fraction(sign * 2 ** (3 * (r - 1)) * r**r)),
-            tdom.mul(
-                tdom.pow(tg, r * (r - 1) // 2),
-                tdom.pow(tdom.sub(tg, one), (r - 1) ** 2 // 2),
-            ),
+    if family == H_2R:
+        return dom.mul(
+            lead(sign * 2 ** (3 * (r - 1)) * r**r),
+            dom.mul(dom.pow(t, r * (r - 1) // 2), dom.pow(t_minus_1, (r - 1) ** 2 // 2)),
         )
-    elif family == H_35:
-        val = tdom.mul(
-            tdom.from_rational(Fraction(3**6 * 5**5)),
-            tdom.mul(tdom.pow(tg, 10), tdom.pow(tdom.sub(tg, one), 18)),
+    if family == H_35:
+        return dom.mul(
+            lead(3**6 * 5**5), dom.mul(dom.pow(t, 10), dom.pow(t_minus_1, 18))
         )
-    else:
-        raise ValueError(f"{family} has no printed closed form")
-    return ring.const(val)
+    raise ValueError(f"{family} has no printed closed form")
 
 
 def verify_closed_form_disc(family: str, r: int | None = None) -> DiscReport:
@@ -457,10 +382,10 @@ def verify_closed_form_disc(family: str, r: int | None = None) -> DiscReport:
         raise ValueError(f"{family} has no printed closed form")
     inst = build_curve(family, r)
     eq = inst.equation
-    direct = hyper_discriminant(eq)
-    printed_in_x = _printed_closed_form(family, r, eq.ring)
-    printed = printed_in_x.constant()
     dom = eq.base
+    direct = hyper_discriminant(eq)
+    ps = inst.params
+    printed = printed_disc(family, r, dom, (ps["z"], ps["s"]) if family == C_ZS else ps["t"])
     equal = direct == printed
     ratio = None
     documented = False

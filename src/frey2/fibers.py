@@ -9,6 +9,7 @@ rest being glued to the first chart.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import Poly, PolyRing
 from .curves import HyperEq, infinity_patch
@@ -118,7 +119,7 @@ def splitting_field(F: SpecialFiber) -> GF2k:
             )
         if locus.degree() >= 1:
             degs |= irreducible_factor_degrees(locus)
-    m = k * gf2.lcm(degs)
+    m = k * lcm(*degs)
     if m > gf2.MAX_K:
         raise FieldTooLarge(f"splitting field GF(2^{m}) exceeds GF(2^{gf2.MAX_K})")
     return gf2.gf2k(m)

@@ -4,8 +4,10 @@ Field elements are plain ints interpreted as bit vectors over GF(2); the
 zero and one elements are 0 and 1.  Arithmetic goes through discrete-log
 tables built once per (k, modulus).  Roots are found algebraically:
 gcd(H, x^(2^k) - x) keeps the distinct linear factors of H, and trace
-maps split them apart, so the cost grows polynomially in k.  The package
-is pure Python; `KERNEL_BACKEND` names that single backend.
+maps split them apart, so the cost grows polynomially in k.
+`irreducible_factor_degrees` works over any finite field, the prime
+fields `algebra.PrimeField` included.  The package is pure Python;
+`KERNEL_BACKEND` names that single backend.
 """
 
 from functools import lru_cache
@@ -369,26 +371,32 @@ def linear_factor_count(H: Poly, field: GF2k) -> int:
 
 
 def irreducible_factor_degrees(H: Poly) -> set[int]:
-    """Degrees of the irreducible factors of a nonzero polynomial H.
+    """Degrees of the irreducible factors of a nonzero polynomial H over any
+    finite field with q = `order` elements (GF(2^k) or a `PrimeField`).
 
     Computes deg gcd(H, x^(q^d) - x) for d = 1..deg H; that degree equals
     the sum of e * (number of distinct degree-e factors) over e | d, from
     which the factor-degree counts are peeled off.  Only degrees are
-    needed, never the factors themselves.
+    needed, never the factors themselves (Cantor-Zassenhaus 1981).
     """
     if H.is_zero():
         raise ZeroInput("factor degrees of the zero polynomial")
-    field = H.base
     ring = H.ring
     H = H.monic()
     n = H.degree()
     if n == 0:
         return set()
+    # left-to-right square-and-multiply for xq -> xq^q: over GF(2^k) this is
+    # exactly k squarings and no multiplication by xq
+    q_bits = bin(H.base.order)[3:]
     counts: dict[int, int] = {}
     xq = ring.gen.divmod(H)[1]
     for d in range(1, n + 1):
-        for _ in range(field.k):
+        prev = xq
+        for bit in q_bits:
             xq = (xq * xq).divmod(H)[1]
+            if bit == "1":
+                xq = (xq * prev).divmod(H)[1]
         g = gcd_monic(H, xq - ring.gen)
         total = g.degree()
         covered = sum(e * c for e, c in counts.items() if d % e == 0)
@@ -396,16 +404,6 @@ def irreducible_factor_degrees(H: Poly) -> set[int]:
             raise Frey2Error("factor degree accounting failed")
         counts[d] = (total - covered) // d
     return {e for e, c in counts.items() if c > 0}
-
-
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        g, a = out, v
-        while a:
-            g, a = a, g % a
-        out = out * v // g
-    return out
 
 
 @lru_cache(maxsize=None)

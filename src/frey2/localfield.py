@@ -145,10 +145,6 @@ class TameField(Domain):
         return f"Q(2^(1/{self.r}))"
 
 
-def tame_val(field: TameField, a) -> Fraction:
-    return field.val(a)
-
-
 @dataclass(frozen=True)
 class WeightInterval:
     """Rational interval for the weight w = v(u) of a formal parameter."""

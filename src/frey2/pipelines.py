@@ -26,7 +26,15 @@ from .curves import (
     hyper_discriminant,
 )
 from .errors import HypothesisViolated, PipelineAssertionFailed
-from .families import C_PLUS, C_ZS, H_35, build_curve, c_coefficients, omega_min_poly
+from .families import (
+    C_PLUS,
+    C_ZS,
+    H_35,
+    build_curve,
+    c_coefficients,
+    omega_min_poly,
+    printed_disc,
+)
 from .fibers import PointReport, SpecialFiber, fiber_kind, singular_points
 from .gf2 import GF2
 from .localfield import (
@@ -95,29 +103,6 @@ def _tame_fiber(E: HyperEq, L: TameField, g: int) -> SpecialFiber:
     Qbar = Poly(gring, [L.residue_bit(c) for c in E.Q.cs])
     Pbar = Poly(gring, [L.residue_bit(c) for c in E.P.cs])
     return SpecialFiber(GF2, Qbar, Pbar, g)
-
-
-def _cplus_disc(r: int, t, dom):
-    """Curve discriminant of C_r^+ as a closed form: 2^(4r) r^r t^((r+3)/2) (1-t)^((r-1)/2)."""
-    lead = dom.from_rational(Fraction(2 ** (4 * r) * r**r))
-    one_minus_t = dom.sub(dom.one, t)
-    return dom.mul(
-        lead, dom.mul(dom.pow(t, (r + 3) // 2), dom.pow(one_minus_t, (r - 1) // 2))
-    )
-
-
-def _h35_disc(t, dom):
-    """Curve discriminant of the (3,5,p) family: 3^6 5^5 t^10 (t-1)^18."""
-    lead = dom.from_rational(Fraction(3**6 * 5**5))
-    return dom.mul(lead, dom.mul(dom.pow(t, 10), dom.pow(dom.sub(t, dom.one), 18)))
-
-
-def _czs_disc(r: int, z: Fraction, s: Fraction) -> Fraction:
-    sign = -1 if ((r - 1) // 2) % 2 else 1
-    return (
-        Fraction(sign * 2 ** (2 * (r - 1)) * r**r)
-        * (Fraction(s) ** 2 - 4 * Fraction(z) ** r) ** ((r - 1) // 2)
-    )
 
 
 def _split_factor_polys(r: int):
@@ -206,7 +191,8 @@ def pipeline_ppr_even(case: str, r: int, interval: WeightInterval | None = None)
     _require(integral, label, "final model is integral")
 
     disc = hyper_discriminant(model)
-    closed = _cplus_disc(r, t, ring)
+    # the printed C_plus value is 2^(4g) below the curve discriminant
+    closed = ring.mul(ring.from_int(2 ** (4 * g)), printed_disc(C_PLUS, r, ring, t))
     factor_ok = disc == ring.mul(factor, closed)
     _require(factor_ok, label, "tracked factor times closed-form discriminant")
 
@@ -325,7 +311,7 @@ def pipeline_35p(case: str, interval: WeightInterval | None = None) -> PipelineR
     _require(integral, label, "final model is integral")
 
     disc = hyper_discriminant(model)
-    closed = _h35_disc(t, ring)
+    closed = printed_disc(H_35, None, ring, t)
     factor_ok = disc == ring.mul(factor, closed)
     _require(factor_ok, label, "tracked factor times closed-form discriminant")
 
@@ -465,12 +451,6 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
         "integrality of the constant term rests on s'/2^v2(s') = 1 mod 4, "
         "i.e. the s-form of the unit congruence",
     ]
-    # the pi-scaling probe: with x -> pi x the final model fails to match
-    probe = apply_change(
-        res1.equation,
-        MobiusChange(L.pi, L.zero, L.zero, L.one, L.pi_power(r), Rx.one),
-    ).equation
-
     expected_Q = Poly(Rx, [L.one])
     s_unit = s1 / Fraction(2) ** v
     const = (s_unit - 1) / 4
@@ -485,8 +465,10 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
 
     display_matches = model.Q == expected_Q and model.P == expected_P
     _require(display_matches, label, "final model matches the stated closed form")
-    if probe.Q == expected_Q and probe.P == expected_P:
-        notes.append("unexpected: the pi-scaling probe also reproduces the model")
+    # the pi-scaling probe x -> pi x, y -> pi^r y + 1 would give the x^r
+    # coefficient lc(P) pi^r / pi^(2r); the stated model needs 1 there
+    if L.mul(res1.equation.P.lc(), L.pi_power(-r)) == L.one:
+        notes.append("unexpected: the pi-scaling probe also gives the x^r coefficient 1")
 
     integral = all(
         (not any(c)) or L.val(c) >= 0 for c in model.Q.cs + model.P.cs
@@ -494,7 +476,7 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
     _require(integral, label, "final model is integral")
 
     disc = hyper_discriminant(model)
-    closed = L.from_rational(_czs_disc(r, z1, s1))
+    closed = L.from_rational(printed_disc(C_ZS, r, QQ, (z1, s1)))
     factor_ok = disc == L.mul(factor, closed)
     _require(factor_ok, label, "tracked factor times closed-form discriminant")
 

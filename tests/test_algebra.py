@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from frey2.algebra import (
     Poly,
     PolyRing,
+    PrimeField,
     QQ,
     bareiss_det,
     discriminant,
@@ -16,7 +17,7 @@ from frey2.algebra import (
     resultant,
     v2,
 )
-from frey2.errors import InexactDivision, ZeroElement, ZeroInput
+from frey2.errors import DivisionByZero, InexactDivision, ZeroElement, ZeroInput
 from frey2.localfield import TameField
 
 R = PolyRing(QQ, "x")
@@ -230,3 +231,39 @@ def test_compose_and_eval():
     assert f.eval(Fraction(2)) == 2
     assert f.compose(-x) == -(x**3) + 3 * x
     assert f.compose(2 - x * x).eval(Fraction(0)) == f.eval(Fraction(2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_arithmetic_exhaustive(p):
+    K = PrimeField(p)
+    assert K.is_field and K.order == p and K.characteristic() == p
+    assert K == PrimeField(p) and hash(K) == hash(PrimeField(p)) and repr(K) == f"GF({p})"
+    for n in range(-2 * p, 2 * p):
+        assert K.from_int(n) == n % p
+    for a in range(p):
+        assert K.neg(a) == -a % p
+        assert K.is_unit(a) == (a != 0)
+        for b in range(p):
+            assert K.add(a, b) == (a + b) % p
+            assert K.sub(a, b) == (a - b) % p
+            assert K.mul(a, b) == a * b % p
+            if b:
+                assert K.mul(K.exact_div(a, b), b) == a
+        if a:
+            assert K.mul(a, K.inv(a)) == 1
+            assert K.pow(a, p - 1) == 1  # Fermat
+            assert K.pow(a, -1) == K.inv(a)
+        for n in range(2 * p):
+            assert K.pow(a, n) == pow(a, n, p)
+    with pytest.raises(DivisionByZero):
+        K.inv(0)
+    with pytest.raises(DivisionByZero):
+        K.from_rational(Fraction(1, p))
+    if p > 2:
+        assert K.mul(K.from_rational(Fraction(1, 2)), 2) == 1
+
+
+def test_prime_field_rejects_composites():
+    for n in (0, 1, 4, 9, 15):
+        with pytest.raises(ValueError):
+            PrimeField(n)

@@ -17,7 +17,8 @@ from frey2.cli import (
 )
 from frey2.errors import FieldTooLarge, NonIntegral, NotOddPrime, ValuationAmbiguous
 
-GOLDEN_TABLE = Path(__file__).parent / "golden" / "table_r3-7.json"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_TABLE = GOLDEN / "table_r3-7.json"
 
 
 def run(capsys, *argv):
@@ -243,3 +244,25 @@ def test_table_json_matches_golden(tmp_path):
     path = tmp_path / "table.json"
     assert main(["table", "--r", "3..7", "--format", "json", "--out", str(path)]) == EXIT_OK
     assert path.read_bytes() == GOLDEN_TABLE.read_bytes()
+
+
+# (golden file, argv): each file is the command's output at the commit that
+# introduced it, so a refactor that changes a byte of the JSON fails here
+CLI_GOLDENS = [
+    ("verify_r3-7.json", ["verify", "--r", "3..7"]),
+    *[(f"reduce_{p}_r5.json", ["reduce", "--pipeline", p, "--r", "5"])
+      for p in ("ppr-even-vneg", "ppr-even-vtpos", "ppr-even-v1mtpos")],
+    *[(f"reduce_{p}.json", ["reduce", "--pipeline", p])
+      for p in ("35p-vtpos", "35p-v1mtpos", "35p-vneg")],
+    *[(f"reduce_odd-good_z{z}_s{s.replace('/', '-')}_r{r}.json",
+       ["reduce", "--pipeline", "odd-good", "--z", z, "--s", s, "--r", r])
+      for z, s, r in (("1", "7/4", "3"), ("1", "31/16", "3"), ("1", "255/128", "5"),
+                      ("240", "7440", "3"))],
+]
+
+
+@pytest.mark.parametrize("name,argv", CLI_GOLDENS, ids=[n for n, _ in CLI_GOLDENS])
+def test_json_matches_golden(tmp_path, name, argv):
+    path = tmp_path / name
+    assert main([*argv, "--format", "json", "--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()

@@ -17,11 +17,14 @@ from frey2.families import (
     H_RR,
     build_curve,
     c_coefficients,
+    czs_polynomial,
     darmon_f,
     irreducibility_witness,
     omega_min_poly,
+    printed_disc,
     verify_closed_form_disc,
     verify_identities,
+    zs_params,
 )
 
 R = PolyRing(QQ, "x")
@@ -173,3 +176,45 @@ def test_closed_form_families_list():
     assert set(CLOSED_FORM_FAMILIES) == {C_ZS, C_PLUS, H_RR, H_2R, H_35}
     with pytest.raises(ValueError):
         verify_closed_form_disc(C_MINUS, 3)
+
+
+def test_irreducibility_witness_primes():
+    """The distinct-degree test over GF(p) finds the same primes as before."""
+    got = [irreducibility_witness(omega_min_poly(r)) for r in ALL_R]
+    assert got == [2, 2, 2, 2, 2, 3, 2]
+    # reducible over Q, so no prime can witness irreducibility
+    assert irreducibility_witness((x + 1) * (x - 2)) is None
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_printed_cplus_times_gap_is_curve_discriminant(r):
+    g = (r - 1) // 2
+    for t in (F(3), F(-1, 2), F(5, 8), F(16), F(1, 32), F(-7, 3)):
+        direct = hyper_discriminant(build_curve(C_PLUS, r, t=t).equation)
+        assert printed_disc(C_PLUS, r, QQ, t) * 2 ** (4 * g) == direct, t
+
+
+def _zs_by_hand(fam, r, t):
+    if fam == C_MINUS:
+        return F(1), 2 - 4 * t
+    z = t * (t - 1)
+    if fam == H_RR:
+        return z, z ** ((r - 1) // 2) * (2 * t - 1)
+    return z, 2 * (t - 1) ** ((r - 1) // 2) * t ** ((r + 1) // 2)
+
+
+@pytest.mark.parametrize("fam", [C_MINUS, H_RR, H_2R])
+def test_zs_params_give_the_family_polynomial(fam):
+    for r in (3, 5, 7):
+        for t in (F(3), F(-1, 2), F(1, 16), F(17)):
+            z, s = zs_params(fam, r, QQ, t)
+            assert (z, s) == _zs_by_hand(fam, r, t)
+            P = build_curve(fam, r, t=t).equation.P
+            assert P == build_curve(C_ZS, r, z=z, s=s).equation.P
+        # symbolic t: the family polynomial is the C_zs polynomial at (z(t), s(t))
+        inst = build_curve(fam, r)
+        ring = inst.equation.ring
+        z, s = zs_params(fam, r, ring.base, inst.params["t"])
+        assert inst.equation.P == czs_polynomial(r, z, s, ring)
+    with pytest.raises(ValueError):
+        zs_params(C_PLUS, 3, QQ, F(3))

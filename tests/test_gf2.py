@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frey2.algebra import Poly, PolyRing, QQ
+from frey2.algebra import Poly, PolyRing, PrimeField, QQ
 from frey2.errors import NonIntegralCoefficient, ZeroInput
 from frey2.gf2 import (
     GF2,
@@ -227,3 +228,40 @@ def test_roots_gf2_16_known_roots(seed):
     got = roots_in_gf2k(H, F)
     assert set(roots) <= set(got)
     assert got == [a for a in F.elements() if H.eval(a) == 0]
+
+
+def _factor_degrees_by_trial_division(H):
+    """Divide out every monic polynomial of degree d = 1, 2, ... up to deg/2.
+
+    Smaller factors are removed first, so each divisor found is
+    irreducible; what is left after degree deg/2 is irreducible or 1.
+    """
+    K, ring = H.base, H.ring
+    H = H.monic()
+    degs = set()
+    d = 1
+    while 2 * d <= H.degree():
+        for low in itertools.product(range(K.order), repeat=d):
+            g = Poly(ring, low + (1,))
+            while H.degree() >= d and H.divmod(g)[1].is_zero():
+                H = H.divmod(g)[0]
+                degs.add(d)
+        d += 1
+    if H.degree() >= 1:
+        degs.add(H.degree())
+    return degs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_degrees_over_prime_fields(p):
+    K = PrimeField(p)
+    R = PolyRing(K, "x")
+    rng = random.Random(p)
+    for n in range(1, 7):
+        if p**n <= 729:
+            lows = itertools.product(range(p), repeat=n)
+        else:
+            lows = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(150))
+        for low in lows:
+            H = Poly(R, low + (rng.randrange(1, p),))
+            assert irreducible_factor_degrees(H) == _factor_degrees_by_trial_division(H), H

@@ -169,16 +169,20 @@ def test_odd_good_grid(source, r):
 
 
 def test_assertion_failure_is_loud(monkeypatch):
-    import frey2.pipelines as pl
+    """A closed form off by 2 breaks the factor claim of every pipeline."""
+    real = pipelines_mod.printed_disc
 
-    real = pl._czs_disc
+    def wrong(family, r, dom, params):
+        return dom.mul(dom.from_int(2), real(family, r, dom, params))
 
-    def wrong(r, z, s):
-        return real(r, z, s) * 2
-
-    monkeypatch.setattr(pl, "_czs_disc", wrong)
-    with pytest.raises(PipelineAssertionFailed):
-        pipeline_odd_good_reduction(1, F(7, 4), 3)
+    monkeypatch.setattr(pipelines_mod, "printed_disc", wrong)
+    for run in (
+        lambda: pipeline_ppr_even("v_t_pos", 3),
+        lambda: pipeline_35p("v_neg"),
+        lambda: pipeline_odd_good_reduction(1, F(7, 4), 3),
+    ):
+        with pytest.raises(PipelineAssertionFailed, match="closed-form discriminant"):
+            run()
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,19 @@ coefficient tuples, lowest degree first, with no trailing zeros.
 
 Resultants are Sylvester determinants evaluated by fraction-free Bareiss
 elimination, so every intermediate value stays inside the coefficient
-domain and the final result is bit-exact.
+domain and the final result is bit-exact.  Over QQ and QQ[t] the
+determinant is computed as one determinant over the integers (`ZZ`): each
+row is cleared of its denominators and t is replaced by 2^B, with B large
+enough that every coefficient of the result is one balanced base-2^B digit
+of the integer (Kronecker substitution; see `bareiss_det`).  This is exact
+because evaluation at 2^B is a ring homomorphism and the Leibniz
+expansion bounds every coefficient below 2^(B-1).  Tame fields, Laurent
+rings, finite fields and nested rings such as QQ[z][s] eliminate on their
+own elements.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import (
     DivisionByZero,
@@ -161,6 +169,39 @@ class RationalField(Domain):
 
 
 QQ = RationalField()
+
+
+class IntegerRing(Domain):
+    """The integers, elements are Python ints."""
+
+    zero = 0
+    one = 1
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def exact_div(self, a, b):
+        if b == 0:
+            raise DivisionByZero("division by zero in Z")
+        q, rem = divmod(a, b)
+        if rem:
+            raise InexactDivision(f"{a} is not divisible by {b} in Z")
+        return q
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = IntegerRing()
 
 
 class PrimeField(Domain):
@@ -435,8 +476,8 @@ class PolyRing(Domain):
             raise TypeError("coefficient is a polynomial of this same ring")
         if isinstance(c, int):
             return self.base.from_int(c)
-        if isinstance(c, Fraction) and isinstance(self.base, RationalField):
-            return c
+        if isinstance(c, Fraction):
+            return self.base.from_rational(c)
         return c
 
     def coerce(self, p):
@@ -448,9 +489,7 @@ class PolyRing(Domain):
             ):
                 return self.const(p)
             raise TypeError(f"cannot coerce {p!r} into {self!r}")
-        if isinstance(p, (int, Fraction)):
-            return self.const(self.base.from_int(p) if isinstance(p, int) else p)
-        return self.const(p)
+        return self.const(self._lift(p))
 
     # Domain protocol: elements are Poly instances over self.base.
     def add(self, a, b):
@@ -519,7 +558,66 @@ def sylvester_matrix(A: Poly, B: Poly):
 
 
 def bareiss_det(rows, dom: Domain):
-    """Determinant by fraction-free Bareiss elimination with row pivoting."""
+    """Determinant of a square matrix over `dom`.
+
+    Over QQ and QQ[t] the determinant is one integer determinant (Kronecker
+    substitution, Kronecker 1882).  Row i is multiplied by the lcm L_i of
+    its denominators, and every entry e, now in Z[t], is replaced by the
+    integer e(2^B), where B = bound.bit_length() + 1 and
+    bound = prod_i max(1, sum_j ||M_ij||_1) over the cleared rows (||.||_1
+    is the sum of the absolute values of the coefficients).  By the
+    Leibniz expansion ||det||_1 <= perm(||M_ij||_1) <= bound < 2^(B-1), so
+    every coefficient of the cleared determinant is one balanced base-2^B
+    digit of its value at 2^B.  Evaluation at 2^B is a ring homomorphism,
+    so the integer determinant is exact, nothing is rounded and no degree
+    bound is needed; its digits divided by prod_i L_i are the coefficients.
+
+    Every other domain (tame fields, Laurent rings, finite fields, nested
+    polynomial rings) runs the same elimination directly on its entries.
+    """
+    univariate = isinstance(dom, PolyRing) and isinstance(dom.base, RationalField)
+    if not (univariate or isinstance(dom, RationalField)):
+        return _eliminate(rows, dom)
+    cleared, denom, bound = [], 1, 1
+    for row in rows:
+        row_cs = [e.cs if univariate else (e,) for e in row]
+        L = lcm(*(c.denominator for cs in row_cs for c in cs))
+        int_row = [[c.numerator * (L // c.denominator) for c in cs] for cs in row_cs]
+        cleared.append(int_row)
+        denom *= L
+        bound *= max(1, sum(abs(c) for cs in int_row for c in cs))
+    B = bound.bit_length() + 1
+    det = _eliminate([[_pack(cs, B) for cs in row] for row in cleared], ZZ)
+    coeffs = [Fraction(c, denom) for c in _unpack(det, B)]
+    if univariate:
+        return Poly(dom, coeffs, normalized=True)
+    return coeffs[0] if coeffs else dom.zero
+
+
+def _pack(cs, B: int) -> int:
+    """Value at 2^B of the integer polynomial with coefficients cs, low first."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << B) + c
+    return acc
+
+
+def _unpack(n: int, B: int) -> list[int]:
+    """Balanced base-2^B digits of n, low first, each in [-2^(B-1), 2^(B-1))."""
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    digits = []
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        digits.append(c)
+        n = (n - c) >> B
+    return digits
+
+
+def _eliminate(rows, dom: Domain):
+    """Determinant by fraction-free Bareiss elimination (Bareiss 1968) with
+    row pivoting; every intermediate value stays in `dom`."""
     n = len(rows)
     if n == 0:
         return dom.one

@@ -1,10 +1,11 @@
 """Command-line front end: verify | classify | reduce | table.
 
 Exit codes: 0 success, 1 usage error (including an r that is not an odd
-prime), 2 degenerate parameter, 3 not covered, 4 pipeline assertion
-failure or any other internal error.  Known printed-source discrepancies
-are reported as "documented-mismatch" and never change the exit code;
-only a failed check the source states verbatim does.
+prime and an --out file that cannot be written), 2 degenerate parameter,
+3 not covered, 4 pipeline assertion failure or any other internal error.
+Known printed-source discrepancies are reported as "documented-mismatch"
+and never change the exit code; only a failed check the source states
+verbatim does.
 """
 
 import argparse
@@ -111,12 +112,13 @@ def _lemma_law_spot_checks(rng: random.Random, count: int) -> bool:
             Q = Poly(ring, [Fraction(rng.randint(-3, 3)) for _ in range(g + 2)])
             P = Poly(ring, [Fraction(rng.randint(-4, 4)) for _ in range(2 * g + 2)]
                      + [Fraction(rng.choice([1, 2, -1]))])
+            # 4P + Q^2 can fall below degree 2g+1 or be singular: draw again.
             try:
                 E = HyperEq(Q, P, g)
+                if hyper_discriminant(E) != 0:
+                    break
             except Frey2Error:
                 continue
-            if hyper_discriminant(E) != 0:
-                break
         while True:
             a, b, c, d = (Fraction(rng.randint(-2, 2)) for _ in range(4))
             e = Fraction(rng.choice([1, -1, 2, 3]))
@@ -460,8 +462,12 @@ def main(argv=None) -> int:
     else:
         text = TEXT_RENDERERS[args.command](doc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"usage error: cannot write {args.out!r}: {e.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text)
     return code

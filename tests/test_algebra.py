@@ -9,6 +9,7 @@ from frey2.algebra import (
     PolyRing,
     PrimeField,
     QQ,
+    ZZ,
     bareiss_det,
     discriminant,
     ext_gcd,
@@ -172,6 +173,89 @@ def square_matrices(draw):
 def test_bareiss_against_cofactor_expansion(case):
     dom, rows = case
     assert bareiss_det(rows, dom) == _cofactor_det(rows, dom)
+
+
+Rt = PolyRing(QQ, "t")
+
+
+@st.composite
+def rational_matrices(draw):
+    """(domain, rows): up to 5x5 over QQ or QQ[t] with entries of degree <= 3,
+    signed rational coefficients with denominators, zero entries, and the
+    top of the first column zeroed so the elimination must swap rows."""
+    dom = draw(st.sampled_from([QQ, Rt]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    rational = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    )
+    if dom is QQ:
+        entry = rational
+    else:
+        entry = st.lists(rational, max_size=4).map(dom.from_coeffs)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(draw(st.integers(min_value=0, max_value=n))):
+        rows[i][0] = dom.zero
+    return dom, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_integer_bareiss_against_cofactor_expansion(case):
+    dom, rows = case
+    det = bareiss_det(rows, dom)
+    assert det == _cofactor_det(rows, dom)
+    coeffs = det.cs if dom is Rt else (det,)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("dom", [QQ, Rt])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_bareiss_coefficient_at_the_bound(dom, sign):
+    # Single-term diagonal entries: after clearing denominators the row norms
+    # are 3, 5 and 17, so bound = 255 = 2^8 - 1 and the one nonzero
+    # coefficient of the cleared determinant is +-bound, the largest
+    # magnitude a balanced base-2^9 digit must carry.
+    t = Rt.gen if dom is Rt else QQ.one
+    entries = [Fraction(3, 2), Fraction(5, 4), Fraction(17 * sign, 8)]
+    rows = [[dom.zero] * 3 for _ in range(3)]
+    for i, a in enumerate(entries):
+        rows[i][i] = dom.mul(dom.from_rational(a), dom.pow(t, i + 1))
+    det = bareiss_det(rows, dom)
+    assert det == dom.mul(dom.from_rational(Fraction(255 * sign, 64)), dom.pow(t, 6))
+    assert det == _cofactor_det(rows, dom)
+
+
+def test_integer_ring_exact_division():
+    assert ZZ.exact_div(12, -4) == -3
+    assert ZZ.exact_div(-(3**80), 3**40) == -(3**40)
+    with pytest.raises(InexactDivision):
+        ZZ.exact_div(7, 2)
+    with pytest.raises(DivisionByZero):
+        ZZ.exact_div(1, 0)
+
+
+@pytest.mark.parametrize("dom", [QQ, Rt])
+def test_integer_bareiss_edge_cases(dom):
+    t = dom.one if dom is QQ else Rt.gen
+    a = dom.from_rational(Fraction(-7, 3))
+    assert bareiss_det([], dom) == dom.one
+    assert bareiss_det([[a]], dom) == a
+    assert bareiss_det([[dom.mul(a, t)]], dom) == dom.mul(a, t)
+    zero_row = [[a, t], [dom.zero, dom.zero]]
+    assert bareiss_det(zero_row, dom) == dom.zero
+    assert bareiss_det(zero_row[::-1], dom) == dom.zero
+
+
+@pytest.mark.parametrize("base", [TameField(3), Rt], ids=["tame3", "qq_t"])
+def test_fraction_coefficients_lift_into_the_base(base):
+    R2 = PolyRing(base, "x")
+    half = base.from_rational(Fraction(1, 2))
+    p = R2.from_coeffs([Fraction(1, 2), 1])
+    assert p.coeff(0) == half
+    assert p * p == R2.from_coeffs([Fraction(1, 4), 1, 1])
+    assert R2.coerce(Fraction(1, 2)) == R2.const(half)
+    assert p - Fraction(1, 2) == R2.gen
 
 
 def test_bivariate_resultant():

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frey2.classify as classify_mod
 from frey2 import cli
@@ -11,6 +17,8 @@ from frey2.cli import (
     EXIT_NOT_COVERED,
     EXIT_OK,
     EXIT_USAGE,
+    GRID_SIGNATURES,
+    PIPELINE_NAMES,
     generate_table,
     main,
     parse_r_range,
@@ -169,6 +177,14 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["conductor_exponent"] == 0
 
 
+def test_out_file_that_cannot_be_written(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "verify", "--r", "3", "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: cannot write") and err.count("\n") == 1
+
+
 def test_generate_table_grid_exponent_listing():
     rows = generate_table([3], -9, 9, with_oracle=False)
     ppr_even = [r for r in rows if r["signature"] == "ppr-even"]
@@ -266,3 +282,63 @@ def test_json_matches_golden(tmp_path, name, argv):
     path = tmp_path / name
     assert main([*argv, "--format", "json", "--out", str(path)]) == EXIT_OK
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_law_checks_redraw_degenerate_curves():
+    # this stream draws a curve whose 4P + Q^2 falls below degree 2g+1
+    assert cli._lemma_law_spot_checks(random.Random(5), 300)
+
+
+# Values for every flag: odd primes, composites, an r above 19,
+# non-numbers, ranges, degenerate t, a rational and a zero denominator.
+# Each flag draws three times in four from its own valid values instead, so
+# that many argv lists get past the parser.
+VALUES = ["3", "5", "4", "21", "x", "3..5", "a..b", "0", "1", "7/4", "1/0"]
+R_OK = ["3", "5", "3..5"]
+Q_OK = ["3", "7/4"]
+FLAGS = {
+    "verify": {"--r": R_OK},
+    "classify": {
+        "--signature": GRID_SIGNATURES,
+        "--r": R_OK,
+        "--t": Q_OK,
+        "--mode": ["printed", "oracle"],
+        "--oracle-check": None,
+    },
+    "reduce": {"--pipeline": list(PIPELINE_NAMES), "--r": R_OK, "--z": Q_OK, "--s": Q_OK},
+    "table": {"--r": R_OK, "--grid-exponents": ["3..5"], "--no-oracle": None},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from([*FLAGS, "x"]))
+    pairs = []
+    for flag, valid in {**FLAGS.get(command, {}), "--format": ["text", "json"]}.items():
+        if valid is None:
+            if draw(st.booleans()):
+                pairs.append([flag])
+        elif draw(st.integers(0, 3)):
+            pool = VALUES if draw(st.integers(0, 3)) == 0 else valid
+            pairs.append([flag, draw(st.sampled_from(pool))])
+    if draw(st.booleans()):
+        pairs.append(["--out", draw(st.sampled_from(["OUT", "MISSING"]))])
+    pairs = draw(st.permutations(pairs))
+    argv = [command, *(token for pair in pairs for token in pair)]
+    # now and then drop the last token, so a flag can lack its value
+    return argv[:-1] if len(argv) > 1 and not draw(st.integers(0, 4)) else argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+def test_cli_argv_fuzz(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"OUT": str(Path(tmp) / "out.txt"),
+                 "MISSING": str(Path(tmp) / "missing" / "out.txt")}
+        argv = [paths.get(a, a) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1

@@ -10,7 +10,9 @@ normalization
 for R = 4P + Q^2 with leading coefficient kappa.  Changes of variables
 return the transformed equation together with the exact discriminant
 scale factor e^(-4(2g+1)) (ad-bc)^(2(g+1)(2g+1)), so pipelines can track
-discriminants without recomputing resultants.
+discriminants without recomputing resultants: factor times the certified
+closed form of their starting curve.  `hyper_discriminant`, the direct
+determinant, runs on the verified paths only over QQ[t] and QQ[s].
 """
 
 from dataclasses import dataclass

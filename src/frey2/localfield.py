@@ -28,7 +28,6 @@ from fractions import Fraction
 from .algebra import Domain, Poly, PolyRing, QQ, ext_gcd, rational_residue_bit, v2
 from .errors import (
     DivisionByZero,
-    InexactDivision,
     NonIntegral,
     ValuationAmbiguous,
     ZeroElement,
@@ -48,6 +47,9 @@ class TameField(Domain):
         self.zero = (Fraction(0),) * r
         self.one = (Fraction(1),) + (Fraction(0),) * (r - 1)
         self.pi = (Fraction(0), Fraction(1)) + (Fraction(0),) * (r - 2)
+        self._modulus = Poly(  # pi^r - 2, for `inv`
+            PolyRing(QQ, "pi"), [Fraction(-2)] + [Fraction(0)] * (r - 1) + [Fraction(1)]
+        )
 
     def element(self, coeffs):
         cs = [Fraction(c) for c in coeffs]
@@ -97,13 +99,10 @@ class TameField(Domain):
         """Inverse modulo pi^r = 2 by the extended Euclidean algorithm."""
         if not any(a):
             raise DivisionByZero("inverse of 0 in Q(2^(1/r))")
-        ring = PolyRing(QQ, "pi")
-        A = Poly(ring, a)
-        M = Poly(ring, [Fraction(-2)] + [Fraction(0)] * (self.r - 1) + [Fraction(1)])
-        g, u, _ = ext_gcd(A, M)
+        M = self._modulus
+        g, u, _ = ext_gcd(Poly(M.ring, a), M)
         if g.degree() != 0:
             raise DivisionByZero("element not invertible (modulus not coprime)")
-        u = u.scale(QQ.inv(g.lc()))
         u = u.divmod(M)[1]
         return self.element([u.coeff(i) for i in range(self.r)])
 
@@ -169,10 +168,6 @@ class WeightInterval:
     def at_least(lo) -> "WeightInterval":
         return WeightInterval(Fraction(lo), None)
 
-    @staticmethod
-    def open_positive() -> "WeightInterval":
-        return WeightInterval(Fraction(0), None, lo_open=True)
-
 
 @dataclass(frozen=True)
 class FormalParam:
@@ -215,9 +210,6 @@ class AffineVal:
 
     def at(self, w: Fraction) -> Fraction:
         return self.const + self.slope * w
-
-    def is_constant(self) -> bool:
-        return self.slope == 0
 
     def __eq__(self, other):
         if isinstance(other, AffineVal):

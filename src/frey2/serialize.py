@@ -24,10 +24,6 @@ def frac_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def gf_elt_json(field, x: int) -> dict:
     return {"k": field.k, "modulus_bits": field.modulus, "element_bits": x}
 

@@ -266,6 +266,7 @@ def test_table_json_matches_golden(tmp_path):
 # introduced it, so a refactor that changes a byte of the JSON fails here
 CLI_GOLDENS = [
     ("verify_r3-7.json", ["verify", "--r", "3..7"]),
+    ("verify_r11-19.json", ["verify", "--r", "11..19"]),
     *[(f"reduce_{p}_r5.json", ["reduce", "--pipeline", p, "--r", "5"])
       for p in ("ppr-even-vneg", "ppr-even-vtpos", "ppr-even-v1mtpos")],
     *[(f"reduce_{p}.json", ["reduce", "--pipeline", p])

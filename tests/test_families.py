@@ -4,7 +4,8 @@ import pytest
 
 from frey2.algebra import PolyRing, QQ, poly_str
 from frey2.curves import hyper_discriminant
-from frey2.errors import DegenerateParameter, NotOddPrime
+import frey2.families as families_mod
+from frey2.errors import DegenerateParameter, NotOddPrime, PipelineAssertionFailed
 from frey2.families import (
     ALL_FAMILIES,
     C_MINUS,
@@ -17,6 +18,7 @@ from frey2.families import (
     H_RR,
     build_curve,
     c_coefficients,
+    closed_form_certificate,
     czs_polynomial,
     darmon_f,
     irreducibility_witness,
@@ -170,6 +172,29 @@ def test_closed_form_cplus_documented_gap(r):
     assert rep.documented_mismatch
     g = (r - 1) // 2
     assert rep.ratio == PolyRing(QQ, "t").from_rational(F(2 ** (4 * g)))
+
+
+@pytest.mark.parametrize("fam,r", [*((f, r) for f in (C_ZS, H_RR, H_2R) for r in (3, 5, 7)),
+                                   (H_RR, 11), (H_2R, 11)])
+def test_certificate_equals_direct_determinant(fam, r):
+    """The direct determinant (over QQ[z][s] for C_zs) is the oracle for the
+    C_S determinant lifted by the weights and evaluated at (z(t), s(t))."""
+    direct = hyper_discriminant(build_curve(fam, r).equation)
+    assert closed_form_certificate(fam, r).direct == direct
+
+
+@pytest.mark.parametrize("extra", [1, 3, 6])  # odd, odd, over-degree (2m = 4)
+def test_weight_lift_rejects_a_slice_off_the_weights(monkeypatch, extra):
+    real = families_mod.hyper_discriminant
+
+    def off_weight(E):
+        d = real(E)
+        return d + d.ring.gen ** extra
+
+    monkeypatch.setattr(families_mod, "hyper_discriminant", off_weight)
+    families_mod._czs_weighted_coeffs.cache_clear()
+    with pytest.raises(PipelineAssertionFailed, match="isobaric"):
+        verify_closed_form_disc(C_ZS, 5)
 
 
 def test_closed_form_families_list():

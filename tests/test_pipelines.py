@@ -2,12 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import frey2.algebra as algebra_mod
+import frey2.families as families_mod
 import frey2.pipelines as pipelines_mod
-from frey2.algebra import v2
+from frey2.algebra import QQ, PolyRing, v2
 from frey2.curves import equation_str, hyper_discriminant
 from frey2.errors import HypothesisViolated, PipelineAssertionFailed
 from frey2.localfield import AffineVal, TameField
 from frey2.pipelines import (
+    P35_CASES,
+    PPR_EVEN_CASES,
     field_of_definition,
     pipeline_35p,
     pipeline_odd_good_reduction,
@@ -169,13 +173,14 @@ def test_odd_good_grid(source, r):
 
 
 def test_assertion_failure_is_loud(monkeypatch):
-    """A closed form off by 2 breaks the factor claim of every pipeline."""
-    real = pipelines_mod.printed_disc
+    """A printed closed form off by 2 fails the certificate every pipeline uses."""
+    real = families_mod.printed_disc
 
     def wrong(family, r, dom, params):
         return dom.mul(dom.from_int(2), real(family, r, dom, params))
 
-    monkeypatch.setattr(pipelines_mod, "printed_disc", wrong)
+    monkeypatch.setattr(families_mod, "printed_disc", wrong)
+    families_mod.closed_form_certificate.cache_clear()
     for run in (
         lambda: pipeline_ppr_even("v_t_pos", 3),
         lambda: pipeline_35p("v_neg"),
@@ -183,6 +188,60 @@ def test_assertion_failure_is_loud(monkeypatch):
     ):
         with pytest.raises(PipelineAssertionFailed, match="closed-form discriminant"):
             run()
+    # a failed certificate is not cached as passed: it fails again
+    assert families_mod.closed_form_certificate.cache_info().currsize == 0
+    with pytest.raises(PipelineAssertionFailed, match="closed-form discriminant"):
+        pipeline_ppr_even("v_t_pos", 3)
+
+
+# odd-good instances: the four of the CLI goldens plus two grid points per source
+ODD_GOOD_ORACLE = [
+    (1, F(7, 4), 3), (1, F(31, 16), 3), (1, F(255, 128), 5), (240, 7440, 3),
+    *[(z, s, r) for source, r in GRID for _, z, s in list(_grid_params(source, r))[:2]],
+]
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+@pytest.mark.parametrize("case", PPR_EVEN_CASES)
+def test_ppr_even_disc_equals_determinant(case, r):
+    """The direct determinant is the oracle for factor * certified closed form."""
+    res = pipeline_ppr_even(case, r)
+    assert hyper_discriminant(res.model) == res.disc
+
+
+@pytest.mark.parametrize("case", P35_CASES)
+def test_35p_disc_equals_determinant(case):
+    res = pipeline_35p(case)
+    assert hyper_discriminant(res.model) == res.disc
+
+
+@pytest.mark.parametrize("z,s,r", ODD_GOOD_ORACLE)
+def test_odd_good_disc_equals_determinant(z, s, r):
+    res = pipeline_odd_good_reduction(z, s, r)
+    assert hyper_discriminant(res.model) == res.disc
+
+
+def test_pipelines_take_one_rational_determinant_per_family_and_r(monkeypatch):
+    """No determinant over a Laurent or tame domain; certificates are cached."""
+    domains = []
+    real = algebra_mod.bareiss_det
+
+    def recorded(rows, dom):
+        domains.append(dom)
+        return real(rows, dom)
+
+    monkeypatch.setattr(algebra_mod, "bareiss_det", recorded)
+    families_mod.closed_form_certificate.cache_clear()
+    families_mod._czs_weighted_coeffs.cache_clear()
+    for _ in range(2):
+        for r in (3, 5):
+            pipeline_ppr_even("v_neg", r)
+            pipeline_ppr_even("v_1mt_pos", r)
+            pipeline_odd_good_reduction(1, F(7, 4), r)
+        pipeline_35p("v_t_pos")
+    # C_plus and C_zs at r = 3, 5 and H_35, each once over QQ[t] or QQ[s]
+    assert len(domains) == 5
+    assert all(isinstance(d, PolyRing) and d.base == QQ for d in domains)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from .curves import (
     apply_change,
     hyper_discriminant,
     infinity_patch,
-    quadratic_twist,
 )
 from .families import (
     build_curve,

@@ -11,14 +11,16 @@ for R = 4P + Q^2 with leading coefficient kappa.  Changes of variables
 return the transformed equation together with the exact discriminant
 scale factor e^(-4(2g+1)) (ad-bc)^(2(g+1)(2g+1)), so pipelines can track
 discriminants without recomputing resultants: factor times the certified
-closed form of their starting curve.  `hyper_discriminant`, the direct
-determinant, runs on the verified paths only over QQ[t] and QQ[s].
+closed form of their starting curve.  A diagonal change (x scaled, no
+translation or inversion) costs O(deg) coefficient operations; any other
+change costs O(deg^2).  `hyper_discriminant`, the direct determinant,
+runs on the verified paths only over QQ[t] and QQ[s].
 """
 
 from dataclasses import dataclass
 
 from .algebra import Poly, PolyRing, discriminant, poly_str
-from .errors import DegreeViolation, NotTwistable, SingularChange, ZeroDelta
+from .errors import DegreeViolation, SingularChange
 
 
 class HyperEq:
@@ -145,23 +147,43 @@ class ChangeResult:
 
 
 def _clearing_transform(H: Poly, a, b, c, d, cap: int) -> Poly:
-    """(c X + d)^cap * H((a X + b)/(c X + d)) as a polynomial of degree <= cap."""
+    """(c X + d)^cap * H((a X + b)/(c X + d)) as a polynomial of degree <= cap.
+
+    A diagonal change (b = c = 0) scales coefficient i by a^i d^(cap-i),
+    O(deg) ring operations.  Any other change runs homogeneous Horner,
+    S_k = S_(k-1) (a X + b) + h_(n-k) (c X + d)^k with S_n times
+    (c X + d)^(cap-n) the result, O(deg^2) ring operations.
+    """
     ring = H.ring
     base = ring.base
+    n = H.degree()
+    if n < 0:
+        return H
+    if base.is_zero(b) and base.is_zero(c):
+        a_pows = [base.one]
+        for _ in range(n):
+            a_pows.append(base.mul(a_pows[-1], a))
+        d_pows = [base.one]
+        for _ in range(cap):
+            d_pows.append(base.mul(d_pows[-1], d))
+        return Poly(
+            ring,
+            [
+                h if base.is_zero(h) else base.mul(base.mul(h, a_pows[i]), d_pows[cap - i])
+                for i, h in enumerate(H.cs)
+            ],
+        )
     num = Poly(ring, (b, a))  # a X + b
     den = Poly(ring, (d, c))  # c X + d
-    out = ring.zero
-    num_pow = ring.one
-    den_pows = [ring.one]
-    for _ in range(cap):
-        den_pows.append(den_pows[-1] * den)
-    for i in range(H.degree() + 1):
-        ci = H.coeff(i)
-        if not base.is_zero(ci):
-            out = out + (num_pow * den_pows[cap - i]).scale(ci)
-        if i < H.degree():
-            num_pow = num_pow * num
-    return out
+    den_pow = ring.one
+    acc = ring.const(H.cs[n])
+    for k in range(1, n + 1):
+        den_pow = den_pow * den
+        acc = acc * num
+        h = H.cs[n - k]
+        if not base.is_zero(h):
+            acc = acc + den_pow.scale(h)
+    return acc * den ** (cap - n)
 
 
 def apply_change(E: HyperEq, M: MobiusChange) -> ChangeResult:
@@ -177,39 +199,16 @@ def apply_change(E: HyperEq, M: MobiusChange) -> ChangeResult:
     num_Q = two_shift + q_star
     num_P = p_star - M.shift * M.shift - q_star * M.shift
     if base.is_field:
-        # one inverse of e instead of one exact division per coefficient
+        # one inverse of e, for the model and the factor alike
         e_inv = base.inv(M.e)
         new_Q = num_Q.scale(e_inv)
         new_P = num_P.scale(base.mul(e_inv, e_inv))
+        e_inv_pow = base.pow(e_inv, 4 * (2 * g + 1))
     else:
         e2 = base.mul(M.e, M.e)
         new_Q = num_Q.map_coeffs(lambda co: base.exact_div(co, M.e), E.ring)
         new_P = num_P.map_coeffs(lambda co: base.exact_div(co, e2), E.ring)
+        e_inv_pow = base.pow(M.e, -4 * (2 * g + 1))
     new_eq = HyperEq(new_Q, new_P, g)
-    factor = base.mul(
-        base.pow(M.e, -4 * (2 * g + 1)),
-        base.pow(det, 2 * (g + 1) * (2 * g + 1)),
-    )
+    factor = base.mul(e_inv_pow, base.pow(det, 2 * (g + 1) * (2 * g + 1)))
     return ChangeResult(new_eq, factor)
-
-
-def quadratic_twist(E: HyperEq, delta) -> HyperEq:
-    """Twist of y^2 = F(x) by delta: isomorphic over any field containing sqrt(delta).
-
-    Odd deg F = 2g+1: returns y^2 = delta^(2g+1) F(x/delta); even degree:
-    y^2 = delta F(x).
-    """
-    base = E.base
-    if not E.Q.is_zero():
-        raise NotTwistable("quadratic twists need Q = 0")
-    if base.is_zero(delta):
-        raise ZeroDelta("twist by zero")
-    F = E.P
-    if F.degree() == 2 * E.g + 1:
-        # delta^(2g+1) F(x/delta): coefficient of x^i picks up delta^(2g+1-i)
-        cs = [
-            base.mul(F.coeff(i), base.pow(delta, 2 * E.g + 1 - i))
-            for i in range(F.degree() + 1)
-        ]
-        return HyperEq(E.ring.zero, Poly(E.ring, cs), E.g)
-    return HyperEq(E.ring.zero, F.scale(delta), E.g)

@@ -41,14 +41,6 @@ class SingularChange(Frey2Error, ValueError):
     """Change of variables with ad - bc = 0 or e = 0."""
 
 
-class NotTwistable(Frey2Error, ValueError):
-    """Quadratic twists require an equation of the form y^2 = F(x)."""
-
-
-class ZeroDelta(Frey2Error, ValueError):
-    pass
-
-
 class PointNotOnCurve(Frey2Error, ValueError):
     pass
 

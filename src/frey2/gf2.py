@@ -224,21 +224,6 @@ def gf2k(k: int) -> GF2k:
     return GF2k(k)
 
 
-def poly_ring(field: GF2k, var="x") -> PolyRing:
-    return PolyRing(field, var)
-
-
-def reduce_mod2(H: Poly, var=None) -> Poly:
-    """Coefficient-wise reduction of a 2-integral rational polynomial to GF(2).
-
-    Raises NonIntegralCoefficient if any coefficient has v2 < 0.
-    """
-    from .algebra import rational_residue_bit
-
-    ring = PolyRing(GF2, var or H.ring.var)
-    return Poly(ring, [rational_residue_bit(c) for c in H.cs])
-
-
 def roots_in_gf2k(H: Poly, field: GF2k) -> list[int]:
     """All roots of H in the field, in ascending order.
 
@@ -436,28 +421,3 @@ def embed(x: int, src: GF2k, dst: GF2k) -> int:
 
 def embed_poly(H: Poly, src: GF2k, dst_ring: PolyRing) -> Poly:
     return Poly(dst_ring, [embed(c, src, dst_ring.base) for c in H.cs])
-
-
-def minpoly_over_subfield(a: int, big: GF2k, sub: GF2k) -> Poly:
-    """Minimal polynomial of a over the embedded subfield, coefficients in `sub`.
-
-    Conjugates are taken under x -> x^(2^sub.k); the product's coefficients
-    are pulled back through the canonical embedding.
-    """
-    if big.k % sub.k:
-        raise ValueError("not a subfield")
-    back = {embed(c, sub, big): c for c in sub.elements()}
-    ring = PolyRing(big, "x")
-    conj = []
-    c = a
-    while c not in conj:
-        conj.append(c)
-        c = big.pow(c, 1 << sub.k)
-    P = ring.one
-    for c in conj:
-        P = P * Poly(ring, [c, big.one])
-    sub_ring = PolyRing(sub, "x")
-    try:
-        return Poly(sub_ring, [back[c] for c in P.cs])
-    except KeyError:
-        raise Frey2Error("conjugate product left the subfield") from None

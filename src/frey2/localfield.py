@@ -8,7 +8,9 @@ the pipelines execute:
   sum a_i pi^i.  Its valuation (normalized so v(2) = 1) is
   min_i (v2(a_i) + i/r): the candidate valuations are pairwise distinct
   modulo 1, so the minimum is attained by exactly one term and no
-  cancellation can disturb it.
+  cancellation can disturb it.  Arithmetic skips zero coordinates, so
+  its cost scales with the nonzero ones: a monomial c pi^i is the
+  common case and is inverted directly, without a gcd.
 
 * ``LaurentRing(param)``: Laurent polynomials in one formal parameter u.
   For a positive-valuation parameter, v(u) = w is only known to lie in a
@@ -65,10 +67,20 @@ class TameField(Domain):
         return self.from_rational(n)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        out = list(a)
+        for i, y in enumerate(b):
+            if y:
+                x = out[i]
+                out[i] = x + y if x else y
+        return tuple(out)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        out = list(a)
+        for i, y in enumerate(b):
+            if y:
+                x = out[i]
+                out[i] = x - y if x else -y
+        return tuple(out)
 
     def neg(self, a):
         return tuple(-x for x in a)
@@ -78,27 +90,32 @@ class TameField(Domain):
 
     def mul(self, a, b):
         r = self.r
-        out = [Fraction(0)] * r
-        for i, ai in enumerate(a):
-            if not ai:
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        out = list(self.zero)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
+            for j, y in b_terms:
                 k = i + j
+                term = x * y
                 if k >= r:
-                    out[k - r] += 2 * ai * bj
-                else:
-                    out[k] += ai * bj
+                    k -= r
+                    term *= 2
+                out[k] = out[k] + term if out[k] else term
         return tuple(out)
 
     def is_unit(self, a):
         return any(a)
 
     def inv(self, a):
-        """Inverse modulo pi^r = 2 by the extended Euclidean algorithm."""
-        if not any(a):
+        """Inverse: c^(-1) pi^(-i) for a monomial c pi^i, else the extended
+        Euclidean algorithm modulo pi^r - 2."""
+        terms = [(i, c) for i, c in enumerate(a) if c]
+        if not terms:
             raise DivisionByZero("inverse of 0 in Q(2^(1/r))")
+        if len(terms) == 1:
+            i, c = terms[0]
+            return self.mul(self.from_rational(1 / c), self.pi_power(-i))
         M = self._modulus
         g, u, _ = ext_gcd(Poly(M.ring, a), M)
         if g.degree() != 0:

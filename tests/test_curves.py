@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frey2.algebra import Poly, PolyRing, QQ
 from frey2.curves import (
@@ -9,15 +11,10 @@ from frey2.curves import (
     apply_change,
     hyper_discriminant,
     infinity_patch,
-    quadratic_twist,
 )
-from frey2.errors import (
-    DegreeViolation,
-    NotTwistable,
-    SingularChange,
-    ZeroDelta,
-)
+from frey2.errors import DegreeViolation, SingularChange
 from frey2.families import C_ZS, build_curve, darmon_f, omega_min_poly
+from frey2.localfield import FormalParam, Laurent, LaurentRing, TameField, WeightInterval
 
 R = PolyRing(QQ, "x")
 x = R.gen
@@ -189,13 +186,173 @@ def test_model_change_reproduces_stated_form():
         assert d == expected
 
 
+def _reference_clearing_transform(H, a, b, c, d, cap):
+    """sum_i h_i (a X + b)^i (c X + d)^(cap-i), every product multiplied out."""
+    ring = H.ring
+    base = ring.base
+    num = Poly(ring, (b, a))
+    den = Poly(ring, (d, c))
+    out = ring.zero
+    num_pow = ring.one
+    den_pows = [ring.one]
+    for _ in range(cap):
+        den_pows.append(den_pows[-1] * den)
+    for i in range(H.degree() + 1):
+        ci = H.coeff(i)
+        if not base.is_zero(ci):
+            out = out + (num_pow * den_pows[cap - i]).scale(ci)
+        if i < H.degree():
+            num_pow = num_pow * num
+    return out
+
+
+def _reference_change(E, M):
+    """(Q, P, factor) of `apply_change`, from the cubic expansion and one
+    exact division per coefficient and for the factor."""
+    base, g = E.base, E.g
+    q_star = _reference_clearing_transform(E.Q, M.a, M.b, M.c, M.d, g + 1)
+    p_star = _reference_clearing_transform(E.P, M.a, M.b, M.c, M.d, 2 * g + 2)
+    num_Q = M.shift.scale(base.from_int(2)) + q_star
+    num_P = p_star - M.shift * M.shift - q_star * M.shift
+    e2 = base.mul(M.e, M.e)
+    det = base.sub(base.mul(M.a, M.d), base.mul(M.b, M.c))
+    return (
+        num_Q.map_coeffs(lambda co: base.exact_div(co, M.e), E.ring),
+        num_P.map_coeffs(lambda co: base.exact_div(co, e2), E.ring),
+        base.exact_div(
+            base.pow(det, 2 * (g + 1) * (2 * g + 1)), base.pow(M.e, 4 * (2 * g + 1))
+        ),
+    )
+
+
+def _tame_elements(field):
+    """Monomials c pi^i and dense elements of Q(2^(1/r)), both nonzero."""
+    coeff = st.builds(F, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2, 3]))
+    monomial = st.builds(
+        lambda i, c: field.element([0] * i + [c]), st.integers(0, field.r - 1), coeff
+    )
+    dense = st.lists(st.integers(-3, 3), min_size=field.r, max_size=field.r).map(
+        field.element
+    )
+    return st.one_of(monomial, dense.filter(any))
+
+
+FIELD_ELEMENTS = {
+    "qq": (QQ, st.builds(F, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2, 3]))),
+    **{f"tame{r}": (TameField(r), _tame_elements(TameField(r))) for r in (3, 5, 7)},
+}
+
+
+def _draw_curve(data, ring, nonzero):
+    """y^2 + Q y = P with deg Q <= g and deg P in {2g+1, 2g+2}."""
+    base = ring.base
+    element = st.one_of(st.just(base.zero), nonzero)
+    g = data.draw(st.sampled_from([1, 2]))
+    top = data.draw(st.sampled_from([2 * g + 1, 2 * g + 2]))
+    Q = Poly(ring, data.draw(st.lists(element, max_size=g + 1)))
+    P = Poly(ring, data.draw(st.lists(element, min_size=top, max_size=top)) + [data.draw(nonzero)])
+    return HyperEq(Q, P, g)
+
+
+@pytest.mark.parametrize("domain", FIELD_ELEMENTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_apply_change_matches_cubic_reference(domain, data):
+    base, nonzero = FIELD_ELEMENTS[domain]
+    ring = PolyRing(base, "x")
+    E = _draw_curve(data, ring, nonzero)
+    element = st.one_of(st.just(base.zero), nonzero)
+    a, d, e = (data.draw(nonzero) for _ in range(3))
+    if data.draw(st.booleans(), label="diagonal"):
+        b = c = base.zero
+    else:
+        b, c = data.draw(element), data.draw(element)
+        assume(not base.is_zero(base.sub(base.mul(a, d), base.mul(b, c))))
+    shift = Poly(ring, data.draw(st.lists(element, max_size=E.g + 2)))
+    M = MobiusChange(a, b, c, d, e, shift)
+    try:
+        res = apply_change(E, M)
+    except DegreeViolation:
+        # the image of infinity can drop the degree below the window
+        assume(False)
+    assert (res.equation.Q, res.equation.P, res.factor) == _reference_change(E, M)
+
+
+LAURENT = LaurentRing(FormalParam.positive("u", WeightInterval.at_least(1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_diagonal_laurent_change_matches_cubic_reference(data):
+    coeff = st.integers(-4, 4).filter(bool)
+    monomial = st.builds(LAURENT.term, coeff, st.integers(-3, 3))
+    dense = st.lists(st.tuples(st.integers(-3, 3), coeff), min_size=1, max_size=3).map(
+        lambda terms: Laurent(LAURENT, terms)
+    ).filter(lambda el: not el.is_zero())
+    nonzero = st.one_of(monomial, dense)
+    ring = PolyRing(LAURENT, "x")
+    E = _draw_curve(data, ring, nonzero)
+    # e must be a unit of the Laurent ring, a single term
+    a, d, e = data.draw(nonzero), data.draw(nonzero), data.draw(monomial)
+    shift = Poly(ring, data.draw(st.lists(nonzero, max_size=E.g + 2)))
+    M = MobiusChange(a, LAURENT.zero, LAURENT.zero, d, e, shift)
+    res = apply_change(E, M)
+    assert (res.equation.Q, res.equation.P, res.factor) == _reference_change(E, M)
+
+
+def test_pipeline_charts_match_cubic_reference(monkeypatch):
+    """Every change a pipeline makes is diagonal and agrees with the reference."""
+    import frey2.pipelines as pipelines_mod
+
+    seen = set()
+
+    def checked(E, M):
+        base = E.base
+        assert base.is_zero(M.b) and base.is_zero(M.c)
+        res = apply_change(E, M)
+        assert (res.equation.Q, res.equation.P, res.factor) == _reference_change(E, M)
+        seen.add(type(base).__name__)
+        return res
+
+    monkeypatch.setattr(pipelines_mod, "apply_change", checked)
+    for case in pipelines_mod.PPR_EVEN_CASES:
+        pipelines_mod.pipeline_ppr_even(case, 5)
+    for case in pipelines_mod.P35_CASES:
+        pipelines_mod.pipeline_35p(case)
+    for z, s, r in ((1, F(7, 4), 3), (2**4, F(5), 3), (2**6, F(-3, 16), 5), (1, F(1, 4), 7)):
+        pipelines_mod.pipeline_odd_good_reduction(z, s, r)
+    assert seen == {"LaurentRing", "TameField"}
+
+
+def quadratic_twist(E: HyperEq, delta) -> HyperEq:
+    """Twist of y^2 = F(x) by delta: isomorphic over any field containing sqrt(delta).
+
+    Odd deg F = 2g+1: returns y^2 = delta^(2g+1) F(x/delta); even degree:
+    y^2 = delta F(x).
+    """
+    base = E.base
+    if not E.Q.is_zero():
+        raise ValueError("quadratic twists need Q = 0")
+    if base.is_zero(delta):
+        raise ValueError("twist by zero")
+    F = E.P
+    if F.degree() == 2 * E.g + 1:
+        # delta^(2g+1) F(x/delta): coefficient of x^i picks up delta^(2g+1-i)
+        cs = [
+            base.mul(F.coeff(i), base.pow(delta, 2 * E.g + 1 - i))
+            for i in range(F.degree() + 1)
+        ]
+        return HyperEq(E.ring.zero, Poly(E.ring, cs), E.g)
+    return HyperEq(E.ring.zero, F.scale(delta), E.g)
+
+
 def test_quadratic_twist_examples():
     E = HyperEq(R.zero, x**3 + 1, 1)
     assert quadratic_twist(E, F(1)) == E
     assert quadratic_twist(E, F(2)).P == x**3 + 8
-    with pytest.raises(ZeroDelta):
+    with pytest.raises(ValueError, match="twist by zero"):
         quadratic_twist(E, F(0))
-    with pytest.raises(NotTwistable):
+    with pytest.raises(ValueError, match="need Q = 0"):
         quadratic_twist(HyperEq(R.one, x**3, 1), F(2))
 
 

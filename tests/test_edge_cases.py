@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from frey2.algebra import Poly
+from frey2.algebra import Poly, PolyRing
 from frey2.classify import classify
 from frey2.cli import EXIT_ASSERTION, EXIT_OK, main
 from frey2.errors import FieldTooLarge
@@ -17,7 +17,7 @@ from frey2.fibers import (
     fiber_type,
     singular_points,
 )
-from frey2.gf2 import GF2, GF2k, poly_ring
+from frey2.gf2 import GF2, GF2k
 from frey2.localfield import (
     AffineVal,
     FormalParam,
@@ -51,7 +51,7 @@ def test_documented_mismatches_alone_keep_exit_zero(capsys):
 
 def test_singular_point_at_infinity():
     # y^2 + x y = x^4 + x^3 over GF(2): nodes at (0,0) and at infinity
-    R = poly_ring(GF2)
+    R = PolyRing(GF2, "x")
     fib = SpecialFiber(GF2, Poly(R, (0, 1)), Poly(R, (0, 0, 0, 1, 1)), 1)
     pts = singular_points(fib)
     assert fiber_type(fib) == ("nodal", 2)
@@ -106,7 +106,7 @@ def test_field_size_caps():
         GF2k(17)
     # splitting-field search refuses to exceed GF(2^16): an irreducible
     # sextic times an irreducible quintic needs lcm(5, 6) = 30
-    R = poly_ring(GF2)
+    R = PolyRing(GF2, "x")
     quintic = Poly(R, (1, 0, 1, 1, 1, 1))     # x^5+x^4+x^3+x^2+1, irreducible
     sextic = Poly(R, (1, 1, 0, 1, 1, 0, 1))   # x^6+x^4+x^3+x+1, irreducible
     from frey2.gf2 import irreducible_factor_degrees

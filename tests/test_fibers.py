@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from frey2.algebra import Poly, PolyRing, QQ
-from frey2.errors import PointNotOnCurve
+from frey2.algebra import Poly, PolyRing, QQ, rational_residue_bit
+from frey2.errors import NonIntegralCoefficient, PointNotOnCurve
 from frey2.fibers import (
     AFFINE,
     NODE,
@@ -18,11 +18,58 @@ from frey2.fibers import (
     singular_points,
     splitting_field,
 )
-from frey2.gf2 import GF2, embed, gf2k, minpoly_over_subfield, poly_ring
+from frey2.gf2 import GF2, GF2k, embed, gf2k
+
+
+def reduce_mod2(H: Poly) -> Poly:
+    """Coefficient-wise reduction of a 2-integral rational polynomial to GF(2)."""
+    return Poly(PolyRing(GF2, H.ring.var), [rational_residue_bit(c) for c in H.cs])
+
+
+def minpoly_over_subfield(a: int, big: GF2k, sub: GF2k) -> Poly:
+    """Minimal polynomial of a over the embedded subfield, coefficients in `sub`.
+
+    Conjugates are taken under x -> x^(2^sub.k); the product's coefficients
+    are pulled back through the canonical embedding.
+    """
+    back = {embed(c, sub, big): c for c in sub.elements()}
+    ring = PolyRing(big, "x")
+    conj = []
+    c = a
+    while c not in conj:
+        conj.append(c)
+        c = big.pow(c, 1 << sub.k)
+    P = ring.one
+    for c in conj:
+        P = P * Poly(ring, [c, big.one])
+    return Poly(PolyRing(sub, "x"), [back[c] for c in P.cs])
+
+
+def test_reduce_mod2_examples():
+    xq = PolyRing(QQ, "x").gen
+    H = reduce_mod2(xq**3 - 3 * xq + 7)
+    assert H == Poly(PolyRing(GF2, "x"), (1, 1, 0, 1))  # x^3 + x + 1
+    H2 = reduce_mod2((xq + 2) * (1 - xq))
+    assert H2 == Poly(PolyRing(GF2, "x"), (0, 1, 1))  # x^2 + x
+    with pytest.raises(NonIntegralCoefficient):
+        reduce_mod2(xq.scale(F(1, 2)) + 1)
+
+
+def test_minpoly_over_subfield():
+    F4 = gf2k(2)
+    F16 = gf2k(4)
+    # an element of F16 not in the image of F4 has degree-2 minpoly over F4
+    image = {embed(a, F4, F16) for a in F4.elements()}
+    outside = next(a for a in F16.elements() if a not in image)
+    mp = minpoly_over_subfield(outside, F16, F4)
+    assert mp.degree() == 2
+    # elements of the subfield have linear minpolys
+    inside = embed(2, F4, F16)
+    assert minpoly_over_subfield(inside, F16, F4).degree() == 1
 
 
 def fib(q_coeffs, p_coeffs, g, field=GF2):
-    R = poly_ring(field)
+    R = PolyRing(field, "x")
     return SpecialFiber(field, Poly(R, q_coeffs), Poly(R, p_coeffs), g)
 
 
@@ -39,7 +86,7 @@ def test_singular_points_toric_35_fiber():
         # a is a primitive cube root: a^2 + a + 1 = 0
         assert big.add(big.add(big.mul(p.a, p.a), p.a), 1) == 0
         # b solves b^2 = P(a)
-        assert big.mul(p.b, p.b) == Poly(poly_ring(big), [1, 1]).eval(p.a)
+        assert big.mul(p.b, p.b) == Poly(PolyRing(big, "x"), [1, 1]).eval(p.a)
 
 
 def test_singular_points_ppr_toric_fiber():
@@ -90,7 +137,6 @@ def test_double_root_of_p_is_not_semistable():
 def _node_count_fibers(r):
     """The two toric fibers of the even-degree (p,p,r) family."""
     from frey2.families import darmon_f, omega_min_poly
-    from frey2.gf2 import reduce_mod2
 
     h = omega_min_poly(r)
     x = h.ring.gen
@@ -124,7 +170,7 @@ def _points_by_minpoly(F, pts):
 def _expected_in_gf2m(F, pts, m):
     """Project the computed points into GF(2^m): roots of their minpolys there."""
     big = gf2k(m)
-    R = poly_ring(big)
+    R = PolyRing(big, "x")
     from frey2.gf2 import embed_poly, roots_in_gf2k
 
     expected = set()
@@ -159,7 +205,7 @@ def test_brute_force_agreement_paper_fibers(m):
 
 def random_fiber(rng, k):
     field = gf2k(k)
-    R = poly_ring(field)
+    R = PolyRing(field, "x")
     while True:
         g = rng.choice([1, 2])
         q = [rng.randrange(field.order) for _ in range(rng.randint(0, g + 2))]
@@ -202,7 +248,7 @@ def test_lemma_24_equivalence(rng):
                     continue
                 from frey2.gf2 import embed_poly
 
-                R = poly_ring(big)
+                R = PolyRing(big, "x")
                 Qb, Pb = embed_poly(Q, Fb.field, R), embed_poly(P, Fb.field, R)
                 triple = (
                     Qb.eval(p.a) == 0
@@ -217,7 +263,7 @@ def _literal_scan(F, m):
     from frey2.gf2 import embed_poly
 
     big = gf2k(m)
-    R = poly_ring(big)
+    R = PolyRing(big, "x")
     found = set()
     for patch, Q, P in F.patches():
         Qb, Pb = embed_poly(Q, F.field, R), embed_poly(P, F.field, R)

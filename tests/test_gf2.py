@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frey2.algebra import Poly, PolyRing, PrimeField, QQ
-from frey2.errors import NonIntegralCoefficient, ZeroInput
+from frey2.algebra import Poly, PolyRing, PrimeField
+from frey2.errors import ZeroInput
 from frey2.gf2 import (
     GF2,
     GF2k,
@@ -16,16 +16,12 @@ from frey2.gf2 import (
     gf2k,
     irreducible_factor_degrees,
     linear_factor_count,
-    minpoly_over_subfield,
-    poly_ring,
-    reduce_mod2,
     roots_in_gf2k,
 )
-from fractions import Fraction
 
 
 def gpoly(field, *coeffs):
-    return Poly(poly_ring(field), coeffs)
+    return Poly(PolyRing(field, "x"), coeffs)
 
 
 def test_builtin_moduli_are_irreducible():
@@ -82,18 +78,7 @@ def test_roots_examples():
 
 def test_roots_zero_poly_raises():
     with pytest.raises(ZeroInput):
-        roots_in_gf2k(Poly(poly_ring(GF2), ()), GF2)
-
-
-def test_reduce_mod2_examples():
-    R = PolyRing(QQ, "x")
-    xq = R.gen
-    H = reduce_mod2(xq**3 - 3 * xq + 7)
-    assert H == gpoly(GF2, 1, 1, 0, 1)  # x^3 + x + 1
-    H2 = reduce_mod2((xq + 2) * (1 - xq))
-    assert H2 == gpoly(GF2, 0, 1, 1)  # x^2 + x
-    with pytest.raises(NonIntegralCoefficient):
-        reduce_mod2(xq.scale(Fraction(1, 2)) + 1)
+        roots_in_gf2k(Poly(PolyRing(GF2, "x"), ()), GF2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,7 +101,7 @@ def test_root_count_matches_gcd_count(k, coeffs):
 
 
 def test_factor_degrees():
-    R = poly_ring(GF2)
+    R = PolyRing(GF2, "x")
     # x^3 + 1 = (x+1)(x^2+x+1) over GF(2)
     assert irreducible_factor_degrees(Poly(R, (1, 0, 0, 1))) == {1, 2}
     # x^3 + x^2 + 1 irreducible
@@ -135,19 +120,6 @@ def test_embedding_is_field_hom():
             assert embed(F2.add(a, b), F2, F8s) == F8s.add(ea, eb)
     with pytest.raises(ValueError):
         embed(1, gf2k(3), gf2k(4))
-
-
-def test_minpoly_over_subfield():
-    F4 = gf2k(2)
-    F16 = gf2k(4)
-    # an element of F16 not in the image of F4 has degree-2 minpoly over F4
-    image = {embed(a, F4, F16) for a in F4.elements()}
-    outside = next(a for a in F16.elements() if a not in image)
-    mp = minpoly_over_subfield(outside, F16, F4)
-    assert mp.degree() == 2
-    # elements of the subfield have linear minpolys
-    inside = embed(2, F4, F16)
-    assert minpoly_over_subfield(inside, F16, F4).degree() == 1
 
 
 def clmul_mod(a, b, modulus, k):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frey2.algebra import v2
+from frey2.algebra import Poly, PolyRing, QQ, ext_gcd, v2
 from frey2.errors import (
     DivisionByZero,
     NonIntegral,
@@ -89,6 +89,69 @@ def test_tame_val_unit_invariance(rng):
         if T3.val(u) != 0:
             continue
         assert T3.val(T3.mul(a, u)) == T3.val(a)
+
+
+def _dense_mul(field, a, b):
+    """Full product of the coefficient vectors, then pi^(r+k) = 2 pi^k."""
+    r = field.r
+    full = [F(0)] * (2 * r)
+    for i in range(r):
+        for j in range(r):
+            full[i + j] += a[i] * b[j]
+    return tuple(full[k] + 2 * full[k + r] for k in range(r))
+
+
+def _ext_gcd_inverse(field, a):
+    ring = PolyRing(QQ, "pi")
+    modulus = Poly(ring, [F(-2)] + [F(0)] * (field.r - 1) + [F(1)])
+    g, u, _ = ext_gcd(Poly(ring, a), modulus)
+    assert g == ring.one
+    return field.element(u.divmod(modulus)[1].cs)
+
+
+def _is_tame_element(field, a):
+    return len(a) == field.r and all(type(c) is F for c in a)
+
+
+def _sparse_or_dense(r):
+    coeff = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4]))
+    sparse = st.dictionaries(st.integers(0, r - 1), coeff, max_size=2).map(
+        lambda cs: tuple(cs.get(i, F(0)) for i in range(r))
+    )
+    dense = st.lists(coeff, min_size=r, max_size=r).map(tuple)
+    return st.one_of(sparse, dense)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tame_arithmetic_matches_dense_reference(r, data):
+    field = TameField(r)
+    a = data.draw(_sparse_or_dense(r))
+    b = data.draw(_sparse_or_dense(r))
+    for got, want in (
+        (field.add(a, b), tuple(x + y for x, y in zip(a, b))),
+        (field.sub(a, b), tuple(x - y for x, y in zip(a, b))),
+        (field.mul(a, b), _dense_mul(field, a, b)),
+    ):
+        assert got == want
+        assert _is_tame_element(field, got)
+    if any(a):
+        inv = field.inv(a)
+        assert inv == _ext_gcd_inverse(field, a)
+        assert field.mul(a, inv) == field.one
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_tame_monomial_inverse_matches_ext_gcd(r):
+    field = TameField(r)
+    for i in range(r):
+        for c in (F(-1), F(-6), F(1, 2), F(-3, 8), F(5, 12)):
+            a = field.element([0] * i + [c])
+            inv = field.inv(a)
+            assert inv == _ext_gcd_inverse(field, a)
+            assert field.mul(a, inv) == field.one
+            assert _is_tame_element(field, inv)
 
 
 def test_tame_residue():

@@ -18,6 +18,15 @@ expansion bounds every coefficient below 2^(B-1).  Other domains (tame
 fields, Laurent rings, finite fields, QQ[z][s]) eliminate on their own
 elements; no verified path does that any more (see `families`), but the
 tests use it as an oracle.
+
+Products of polynomials over QQ are packed the same way: each operand is
+cleared of its denominators (L_a, L_b) and evaluated at 2^B, the two
+integers are multiplied once, and the digits divided by L_a*L_b are the
+coefficients.  Every coefficient of the cleared product is bounded by
+min(len a, len b) * max|a_i| * max|b_j| < 2^(B-1) (see `_rational_product`).
+Products over every other base (QQ[t] as the base of QQ[t][x], tame
+fields, finite fields) run the schoolbook loop, whose inner products over
+QQ are packed in turn.
 """
 
 from fractions import Fraction
@@ -118,8 +127,9 @@ class Domain:
         while n:
             if n & 1:
                 out = self.mul(out, a)
-            a = self.mul(a, a)
             n >>= 1
+            if n:
+                a = self.mul(a, a)
         return out
 
     def characteristic(self) -> int:
@@ -326,6 +336,8 @@ class Poly:
         base = self.base
         if not self.cs or not other.cs:
             return self.ring.zero
+        if isinstance(base, RationalField):
+            return Poly(self.ring, _rational_product(self.cs, other.cs), normalized=True)
         out = [base.zero] * (len(self.cs) + len(other.cs) - 1)
         for i, a in enumerate(self.cs):
             if base.is_zero(a):
@@ -343,14 +355,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = self.ring.one
-        a = self
-        while n:
-            if n & 1:
-                out = out * a
-            a = a * a
-            n >>= 1
-        return out
+        return self.ring.pow(self, n)
 
     def scale(self, c):
         base = self.base
@@ -591,6 +596,29 @@ def bareiss_det(rows, dom: Domain):
     if univariate:
         return Poly(dom, coeffs, normalized=True)
     return coeffs[0] if coeffs else dom.zero
+
+
+def _rational_product(a, b) -> list[Fraction]:
+    """Coefficients of the product of two nonzero QQ polynomials, low first.
+
+    Kronecker substitution, as in `bareiss_det`: a and b are multiplied by
+    the lcm L_a, L_b of their denominators, and every coefficient of the
+    cleared product is a sum of at most min(len a, len b) terms a_i*b_j, so
+    its absolute value is at most bound = min(len a, len b) * max|a_i| *
+    max|b_j| < 2^(B-1) with B = bound.bit_length() + 1.  Each is therefore
+    one balanced base-2^B digit of the integer product of the values at
+    2^B, and the digits divided by L_a*L_b are the exact coefficients.
+    The leading digit is the product of the nonzero leading coefficients,
+    so the result has len a + len b - 1 entries and no trailing zeros.
+    """
+    La = lcm(*(c.denominator for c in a))
+    Lb = lcm(*(c.denominator for c in b))
+    ia = [c.numerator * (La // c.denominator) for c in a]
+    ib = [c.numerator * (Lb // c.denominator) for c in b]
+    bound = min(len(ia), len(ib)) * max(map(abs, ia)) * max(map(abs, ib))
+    B = bound.bit_length() + 1
+    L = La * Lb
+    return [Fraction(c, L) for c in _unpack(_pack(ia, B) * _pack(ib, B), B)]
 
 
 def _pack(cs, B: int) -> int:

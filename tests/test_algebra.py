@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frey2.algebra import (
+    Domain,
     Poly,
     PolyRing,
     PrimeField,
@@ -351,3 +352,160 @@ def test_prime_field_rejects_composites():
     for n in (0, 1, 4, 9, 15):
         with pytest.raises(ValueError):
             PrimeField(n)
+
+
+# --- products over QQ (packed) against the schoolbook loop, and pow -------
+
+
+def _schoolbook(p, q):
+    """Reference product: the coefficient loop, recursing into nested
+    QQ polynomial coefficients, so no product here is packed."""
+    if p.is_zero() or q.is_zero():
+        return p.ring.zero
+    base = p.base
+    mul = _schoolbook if isinstance(base, PolyRing) else base.mul
+    out = [base.zero] * (len(p.cs) + len(q.cs) - 1)
+    for i, a in enumerate(p.cs):
+        for j, b in enumerate(q.cs):
+            out[i + j] = base.add(out[i + j], mul(a, b))
+    return Poly(p.ring, out)
+
+
+Rz = PolyRing(QQ, "z")
+Rtx = PolyRing(Rt, "x")
+Rzs = PolyRing(Rz, "s")
+
+# Signed numerators up to 2^70 over small denominators, so the two operands
+# usually have coprime denominator lcms; zero is drawn often so the lists
+# carry interior zeros.
+packed_rational = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.sampled_from([1, 2, 3, 4, 5, 7, 9, 16, 25, 27]),
+    ),
+)
+
+
+@st.composite
+def product_operands(draw):
+    """(p, q) over QQ[x], QQ[t][x] or QQ[z][s], of independent lengths 0..7;
+    QQ operands may hold plain ints, as `Poly(ring, [...])` keeps them."""
+    ring = draw(st.sampled_from([R, Rtx, Rzs]))
+
+    def operand():
+        if ring is R:
+            cs = draw(st.lists(st.one_of(packed_rational, st.integers(-9, 9)), max_size=7))
+            return Poly(R, cs)
+        inner = st.lists(packed_rational, max_size=4).map(ring.base.from_coeffs)
+        return ring.from_coeffs(draw(st.lists(inner, max_size=5)))
+
+    return operand(), operand()
+
+
+def _rational_coeffs(p):
+    return [c for inner in p.cs for c in inner.cs] if isinstance(p.base, PolyRing) else list(p.cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+@example((Poly(R, [Fraction(-5, 3)] * 3), Poly(R, [Fraction(-5, 7)] * 4)))  # middle = bound
+def test_packed_product_against_schoolbook(case):
+    p, q = case
+    prod = p * q
+    ref = _schoolbook(p, q)
+    assert prod == ref and hash(prod) == hash(ref)
+    assert prod == q * p
+    assert all(type(c) is Fraction for c in _rational_coeffs(prod))
+    assert not prod.cs or not prod.base.is_zero(prod.cs[-1])
+
+
+@pytest.mark.parametrize("la, lb", [(1, 1), (3, 3), (2, 5), (6, 4)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("den", [1, 6])
+def test_packed_product_coefficient_at_the_bound(la, lb, sign, den):
+    # Every coefficient is +-M/den, so after clearing every one is +-M and
+    # the middle coefficients of the product are sign * min(la, lb) * M^2,
+    # exactly the bound that sets the digit width.
+    M = 2**13 - 1
+    a = Poly(R, [Fraction(M, den)] * la)
+    b = Poly(R, [Fraction(sign * M, den)] * lb)
+    prod = a * b
+    bound = min(la, lb) * M * M
+    assert max(abs(c) for c in prod.cs) * den * den == bound
+    assert prod.cs[min(la, lb) - 1] == Fraction(sign * bound, den * den)
+    assert prod == _schoolbook(a, b)
+
+
+def test_packed_product_invariants():
+    a = Poly(R, [3, 0, -2])  # plain ints, kept as given
+    b = Poly(R, [Fraction(1, 3), 5])
+    for p, q in [(a, b), (b, a), (a, a)]:
+        prod = p * q
+        ref = _schoolbook(p, q)
+        assert prod == ref and hash(prod) == hash(ref)
+        assert all(type(c) is Fraction for c in prod.cs)
+        assert prod.cs[-1] != 0
+    assert (a * b).cs == (1, 15, Fraction(-2, 3), -10)
+    for zero in (R.zero, Poly(R, [0, 0])):
+        assert (a * zero) is R.zero and (zero * a) is R.zero
+
+
+class _CountingDomain(Domain):
+    """Delegates to `inner` and counts multiplications."""
+
+    def __init__(self, inner):
+        self.inner, self.one, self.count = inner, inner.one, 0
+
+    def mul(self, a, b):
+        self.count += 1
+        return self.inner.mul(a, b)
+
+
+class _CountingPolyRing(PolyRing):
+    def __init__(self, base, var):
+        super().__init__(base, var)
+        self.count = 0
+
+    def mul(self, a, b):
+        self.count += 1
+        return a * b
+
+
+def _square_and_multiply_count(n):
+    """bit_length(n) - 1 squarings and popcount(n) products; none for n = 0."""
+    return n.bit_length() - 1 + bin(n).count("1") if n else 0
+
+
+@pytest.mark.parametrize(
+    "dom, a",
+    [
+        (QQ, Fraction(-3, 2)),
+        (PrimeField(101), 7),
+        (TameField(5), (Fraction(1), Fraction(-1, 3), 0, 0, Fraction(2))),
+    ],
+    ids=["qq", "gf101", "tame5"],
+)
+def test_pow_is_one_square_and_multiply(dom, a):
+    a = dom.element(a) if isinstance(dom, TameField) else a
+    counting = _CountingDomain(dom)
+    ref = dom.one
+    for n in range(65):
+        counting.count = 0
+        assert counting.pow(a, n) == ref
+        assert counting.count == _square_and_multiply_count(n)
+        ref = dom.mul(ref, a)
+
+
+def test_poly_pow_delegates_to_the_ring():
+    ring = _CountingPolyRing(QQ, "t")
+    a = ring.from_coeffs([Fraction(1, 2), -3, 0, Fraction(5, 7)])
+    ref = ring.one
+    for n in range(65):
+        ring.count = 0
+        assert a**n == ref
+        assert ring.count == _square_and_multiply_count(n)
+        ref = _schoolbook(ref, a)
+    with pytest.raises(ValueError):
+        a ** -1

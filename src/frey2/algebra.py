@@ -361,12 +361,6 @@ class Poly:
         base = self.base
         return Poly(self.ring, [base.mul(c, a) for a in self.cs])
 
-    def shift(self, n: int):
-        """Multiply by x^n."""
-        if not self.cs:
-            return self
-        return Poly(self.ring, (self.base.zero,) * n + self.cs, normalized=True)
-
     def derivative(self):
         base = self.base
         return Poly(

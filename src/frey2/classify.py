@@ -16,11 +16,18 @@ derives the ppr-odd congruence from the good-reduction construction
 instead (base-field model iff v2(s'^2) + 4 = 0 mod r with s = 2 - 4t,
 i.e. v2(t) = -4 mod r).  `cross_validate` runs both plus the matching
 reduction pipeline and reports conflicts without adjudicating them.
+
+Each signature's case split is stated once, in its `CASES` function,
+which `classify` and `cross_validate` both read.  The ppr-even/35p oracle
+is the certified fiber of the case's pipeline plus the chart congruence:
+nodal gives 1, smooth gives 0 or 2 by the chart degree (r, 3 or 5), and
+smooth on a case without a chart is an internal contradiction.
 """
 
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import QQ, check_odd_prime, v2
 from .errors import DegenerateParameter, NotCovered, PipelineAssertionFailed
@@ -33,7 +40,6 @@ from .pipelines import (
     pipeline_ppr_even,
 )
 
-SIGNATURES = ("ppr-even", "ppr-odd", "rrp", "2rp", "35p")
 # the odd-degree signatures and the t-family whose (z, s) they reduce at
 ODD_FAMILY = {"ppr-odd": C_MINUS, "rrp": H_RR, "2rp": H_2R}
 
@@ -89,7 +95,7 @@ class ConductorReport:
 
 
 def _validate(signature: str, r: int | None, t) -> Fraction:
-    if signature not in SIGNATURES:
+    if signature not in CASES:
         raise ValueError(f"unknown signature {signature!r}")
     if signature != "35p":
         check_odd_prime(r)
@@ -97,6 +103,71 @@ def _validate(signature: str, r: int | None, t) -> Fraction:
     if t in (0, 1):
         raise DegenerateParameter(f"t = {t} is degenerate")
     return t
+
+
+class Case(NamedTuple):
+    """A valuation case: with a chart of degree `mod`, exponent 0 iff `val` =
+    `cls` mod `mod`, else 2; covered without a chart, toric (exponent 1).
+    `key` names the even-degree pipeline case that certifies it."""
+
+    text: str
+    covered: bool = True
+    val: int | None = None
+    mod: int | None = None
+    cls: int = 0
+    key: str | None = None
+
+    def chart_exponent(self) -> int:
+        return 0 if (self.val - self.cls) % self.mod == 0 else 2
+
+
+def _ppr_even_case(r: int, t: Fraction) -> Case:
+    vt = v2(t)
+    if vt < 0:
+        return Case(f"v2(t) = {vt} < 0", val=vt, mod=r, key="v_neg")
+    if vt > 0:
+        return Case(f"v2(t) = {vt} > 0", key="v_t_pos")
+    return Case(f"v2(1-t) = {v2(1 - t)} > 0", key="v_1mt_pos")
+
+
+def _35p_case(r: None, t: Fraction) -> Case:
+    vt, v1t = v2(t), v2(1 - t)
+    if vt > 0:
+        return Case(f"v2(t) = {vt} > 0", val=vt, mod=3, key="v_t_pos")
+    if v1t > 0:
+        return Case(f"v2(1-t) = {v1t} > 0", val=v1t, mod=5, key="v_1mt_pos")
+    return Case(f"v2(t) = {vt} < 0", key="v_neg")
+
+
+def _ppr_odd_case(r: int, t: Fraction) -> Case:
+    vt = v2(t)
+    if vt > -4:
+        return Case(f"v2(t) = {vt} > -4", covered=False)
+    return Case(f"v2(t) = {vt} <= -4", val=vt, mod=r, cls=-2)
+
+
+def _rrp_case(r: int, t: Fraction) -> Case:
+    m = v2(t * (t - 1))
+    if m < 4:
+        return Case(f"v2(t(t-1)) = {m} < 4", covered=False)
+    return Case(f"v2(t(t-1)) = {m} >= 4", val=m, mod=r, cls=4)
+
+
+def _2rp_case(r: int, t: Fraction) -> Case:
+    m = v2(t - 1)  # >= 6 forces v2(t) = 0
+    if m < 6:
+        return Case(f"v2(t-1) = {m} < 6", covered=False)
+    return Case(f"v2(t-1) = {m} >= 6", val=m, mod=r, cls=6)
+
+
+CASES = {
+    "ppr-even": _ppr_even_case,
+    "ppr-odd": _ppr_odd_case,
+    "rrp": _rrp_case,
+    "2rp": _2rp_case,
+    "35p": _35p_case,
+}
+SIGNATURES = tuple(CASES)
 
 
 def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED,
@@ -110,81 +181,26 @@ def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED,
     if mode not in (TABLE_AS_PRINTED, ORACLE_CORRECTED):
         raise ValueError(f"unknown mode {mode!r}")
     t = _validate(signature, r, t)
-    vt = v2(t)
-    v1t = v2(1 - t)
-    source = "printed-table" if mode == TABLE_AS_PRINTED else "construction-oracle"
-
-    if signature == "ppr-even":
-        if vt < 0:
-            case = f"v2(t) = {vt} < 0"
-            if vt % r == 0:
-                return ConductorReport(signature, r, t, case, 0, GOOD, source, mode)
-            return ConductorReport(signature, r, t, case, 2, inertial_type(r), source, mode)
-        case = f"v2(t) = {vt} > 0" if vt > 0 else f"v2(1-t) = {v1t} > 0"
-        return ConductorReport(signature, r, t, case, 1, TORIC, source, mode)
-
     if signature == "35p":
-        f35 = residue_degree(5)
-        if vt > 0:
-            case = f"v2(t) = {vt} > 0"
-            if vt % 3 == 0:
-                return ConductorReport(signature, None, t, case, 0, GOOD, source, mode)
-            return ConductorReport(
-                signature, None, t, case, 2, _tame_inertial_type(3, f35), source, mode
-            )
-        if v1t > 0:
-            case = f"v2(1-t) = {v1t} > 0"
-            if v1t % 5 == 0:
-                return ConductorReport(signature, None, t, case, 0, GOOD, source, mode)
-            return ConductorReport(
-                signature, None, t, case, 2, _tame_inertial_type(5, f35), source, mode
-            )
-        case = f"v2(t) = {vt} < 0"
-        return ConductorReport(signature, None, t, case, 1, TORIC, source, mode)
+        r = None
+    source = "printed-table" if mode == TABLE_AS_PRINTED else "construction-oracle"
+    case = CASES[signature](r, t)
 
-    if signature == "ppr-odd":
-        if vt > -4:
-            return ConductorReport(
-                signature, r, t, f"v2(t) = {vt} > -4", NOT_COVERED, None, source, mode
-            )
-        case = f"v2(t) = {vt} <= -4"
-        if mode == TABLE_AS_PRINTED:
-            zero = (vt - (-2)) % r == 0
-        else:
-            zero = field_of_definition(*zs_params(C_MINUS, r, QQ, t), r)
-        if zero:
-            return ConductorReport(signature, r, t, case, 0, GOOD, source, mode)
-        return ConductorReport(signature, r, t, case, 2, inertial_type(r), source, mode)
+    def report(exponent, inertia):
+        return ConductorReport(signature, r, t, case.text, exponent, inertia, source, mode)
 
-    if signature == "rrp":
-        m = v2(t * (t - 1))
-        if m < 4:
-            return ConductorReport(
-                signature, r, t, f"v2(t(t-1)) = {m} < 4", NOT_COVERED, None, source, mode
-            )
-        case = f"v2(t(t-1)) = {m} >= 4"
-        if mode == TABLE_AS_PRINTED:
-            zero = (m - 4) % r == 0
-        else:
-            zero = field_of_definition(*zs_params(H_RR, r, QQ, t), r)
-        if zero:
-            return ConductorReport(signature, r, t, case, 0, GOOD, source, mode)
-        return ConductorReport(signature, r, t, case, 2, inertial_type(r), source, mode)
-
-    # 2rp
-    m = v2(t - 1) if t != 1 else None
-    if m is None or m < 6 or vt != 0:
-        return ConductorReport(
-            signature, r, t, f"v2(t-1) = {m} < 6", NOT_COVERED, None, source, mode
-        )
-    case = f"v2(t-1) = {m} >= 6"
-    if mode == TABLE_AS_PRINTED:
-        zero = (m - 6) % r == 0
+    if not case.covered:
+        return report(NOT_COVERED, None)
+    if case.mod is None:
+        return report(1, TORIC)
+    if mode == ORACLE_CORRECTED and signature in ODD_FAMILY:
+        exponent = 0 if field_of_definition(*zs_params(ODD_FAMILY[signature], r, QQ, t), r) else 2
     else:
-        zero = field_of_definition(*zs_params(H_2R, r, QQ, t), r)
-    if zero:
-        return ConductorReport(signature, r, t, case, 0, GOOD, source, mode)
-    return ConductorReport(signature, r, t, case, 2, inertial_type(r), source, mode)
+        exponent = case.chart_exponent()
+    if exponent == 0:
+        return report(0, GOOD)
+    # 35p takes the residue degree of level 5 for both of its charts
+    return report(2, _tame_inertial_type(case.mod, residue_degree(r or 5)))
 
 
 @dataclass
@@ -216,33 +232,14 @@ def _even_pipeline(signature: str, case: str, r: int | None) -> PipelineResult:
     return pipeline_35p(case)
 
 
-def _oracle_exponent_even(signature: str, r: int | None, t: Fraction):
-    """Pipeline plus congruence for the even-degree (all-t) signatures."""
-    vt = v2(t)
-    v1t = v2(1 - t)
-    if signature == "ppr-even":
-        if vt < 0:
-            case = "v_neg"
-            exp = 0 if vt % r == 0 else 2
-            why = (
-                "good reduction over the degree-r chart; the extension is "
-                "unramified iff r | v2(t)"
-            )
-        else:
-            case = "v_t_pos" if vt > 0 else "v_1mt_pos"
-            exp, why = 1, "nodal (toric) reduction"
-    elif vt > 0:
-        case = "v_t_pos"
-        exp = 0 if vt % 3 == 0 else 2
-        why = "good reduction over the cube-root chart; unramified iff 3 | v2(t)"
-    elif v1t > 0:
-        case = "v_1mt_pos"
-        exp = 0 if v1t % 5 == 0 else 2
-        why = "good reduction over the fifth-root chart; unramified iff 5 | v2(1-t)"
-    else:
-        case = "v_neg"
-        exp, why = 1, "nodal (toric) reduction"
-    return _even_pipeline(signature, case, r if signature == "ppr-even" else None), exp, why
+NODAL_NOTE = "nodal (toric) reduction"
+# what a smooth certified fiber means on each even-degree chart
+CHART_NOTES = {
+    ("ppr-even", "v_neg"): "good reduction over the degree-r chart; the extension is "
+                           "unramified iff r | v2(t)",
+    ("35p", "v_t_pos"): "good reduction over the cube-root chart; unramified iff 3 | v2(t)",
+    ("35p", "v_1mt_pos"): "good reduction over the fifth-root chart; unramified iff 5 | v2(1-t)",
+}
 
 
 def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
@@ -250,21 +247,34 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
     t = _validate(signature, r, t)
     printed = classify(signature, r, t, TABLE_AS_PRINTED)
     oracle_rep = classify(signature, r, t, ORACLE_CORRECTED)
-    notes = []
-
-    if signature in ("ppr-even", "35p"):
-        pipe, oracle_exp, why = _oracle_exponent_even(signature, r, t)
-        notes.append(why)
-    else:
+    if signature in ODD_FAMILY:
         if not printed.covered():
             raise NotCovered(f"{signature} at t = {t}: no pipeline applies")
         pipe = pipeline_odd_good_reduction(*zs_params(ODD_FAMILY[signature], r, QQ, t), r)
         oracle_exp = 0 if pipe.base_defined else 2
-        notes.append(
-            "good-reduction model is base-defined"
-            if pipe.base_defined
-            else "good reduction only over the ramified degree-r extension"
-        )
+        why = ("good-reduction model is base-defined" if pipe.base_defined
+               else "good reduction only over the ramified degree-r extension")
+        if oracle_rep.exponent != oracle_exp:
+            raise PipelineAssertionFailed(
+                f"internal contradiction for {signature} at t = {t}: oracle-mode "
+                f"classify gives exponent {oracle_rep.exponent}, the pipeline it "
+                f"wraps gives {oracle_exp}"
+            )
+    else:
+        # the certified fiber decides: nodal is toric, smooth is good over
+        # the case's chart and unramified by the chart congruence
+        case = CASES[signature](r, t)
+        pipe = _even_pipeline(signature, case.key, r if signature == "ppr-even" else None)
+        if pipe.fiber_kind == "nodal":
+            oracle_exp, why = 1, NODAL_NOTE
+        elif pipe.fiber_kind == "smooth" and case.mod is not None:
+            oracle_exp, why = case.chart_exponent(), CHART_NOTES[signature, case.key]
+        else:
+            raise PipelineAssertionFailed(
+                f"internal contradiction for {signature} at t = {t}: the "
+                f"{pipe.label} pipeline certifies a {pipe.fiber_kind} fiber, "
+                f"but case {case.text} has no good-reduction chart"
+            )
 
     agree = printed.exponent == oracle_exp
     conflict = None
@@ -272,12 +282,6 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
         conflict = (
             f"printed exponent {printed.exponent} vs construction-oracle "
             f"exponent {oracle_exp} at t = {t} (case {printed.case})"
-        )
-    if oracle_rep.covered() and oracle_rep.exponent != oracle_exp:
-        raise PipelineAssertionFailed(
-            f"internal contradiction for {signature} at t = {t}: oracle-mode "
-            f"classify gives exponent {oracle_rep.exponent}, the pipeline it "
-            f"wraps gives {oracle_exp}"
         )
     witness = f"{pipe.model_str()}  |  fiber: {pipe.fiber_str()} ({pipe.fiber_kind})"
     return CrossValidation(
@@ -291,5 +295,5 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
         agree=agree,
         witness=witness,
         conflict=conflict,
-        notes=notes,
+        notes=[why],
     )

@@ -142,19 +142,18 @@ def singular_points(F: SpecialFiber, field: GF2k | None = None) -> list[PointRep
             raise Frey2Error("degenerate fiber: singular locus is not zero-dimensional")
         if locus.degree() < 1:
             continue
-        candidates = gf2.roots_in_gf2k(locus, big)
-        for a in candidates:
+        dQ, dP = Qb.derivative(), Pb.derivative()
+        for a in gf2.roots_in_gf2k(locus, big):
             if patch == INFINITY and a != 0:
                 continue
             if Qb.eval(a) != 0:
                 continue
-            pda = Pb.derivative().eval(a)
-            qda = Qb.derivative().eval(a)
-            if big.mul(pda, pda) != big.mul(big.mul(qda, qda), Pb.eval(a)):
+            pa, pda, qda = Pb.eval(a), dP.eval(a), dQ.eval(a)
+            if big.mul(pda, pda) != big.mul(big.mul(qda, qda), pa):
                 continue
-            b = big.sqrt(Pb.eval(a))
-            kind = _point_kind(big, Qb, Pb, a, b)
-            out.append(PointReport(patch, big, a, b, kind))
+            # b = sqrt(P(a)) lies on the curve since Q(a) = 0
+            kind = NODE if qda != 0 else NON_SEMISTABLE
+            out.append(PointReport(patch, big, a, big.sqrt(pa), kind))
     return out
 
 

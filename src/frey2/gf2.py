@@ -1,8 +1,9 @@
 """Small binary fields GF(2^k), k <= 16.
 
 Field elements are plain ints interpreted as bit vectors over GF(2); the
-zero and one elements are 0 and 1.  Arithmetic goes through discrete-log
-tables built once per (k, modulus).  Roots are found algebraically:
+zero and one elements are 0 and 1.  There is one field per k, under the
+built-in modulus `IRREDUCIBLE[k]`, and its arithmetic goes through
+discrete-log tables built once.  Roots are found algebraically:
 gcd(H, x^(2^k) - x) keeps the distinct linear factors of H, and trace
 maps split them apart, so the cost grows polynomially in k.
 `irreducible_factor_degrees` works over any finite field, the prime
@@ -87,19 +88,11 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-
-
 def _tables(k: int, modulus: int) -> tuple[list[int], list[int]]:
     """(exp, log) discrete-log tables of GF(2^k)*, built from a generator.
 
-    exp has 2 * (2^k - 1) entries, so exp[log a + log b] needs no reduction;
-    cached per (k, modulus) because fields are also built outside `gf2k`.
+    exp has 2 * (2^k - 1) entries, so exp[log a + log b] needs no reduction.
     """
-    key = (k, modulus)
-    cached = _TABLES.get(key)
-    if cached is not None:
-        return cached
     order = (1 << k) - 1
     primes = _prime_factors(order)
     gen = 1  # GF(2)* is trivial
@@ -127,23 +120,20 @@ def _tables(k: int, modulus: int) -> tuple[list[int], list[int]]:
         log[v] = i
         v = _clmul_mod(v, gen, modulus, k)
     exp[order:] = exp[:order]
-    _TABLES[key] = (exp, log)
     return exp, log
 
 
 class GF2k(Domain):
-    """The field with 2^k elements, elements represented as ints."""
+    """The field with 2^k elements under the modulus `IRREDUCIBLE[k]`,
+    elements represented as ints; `gf2k(k)` shares one instance per k."""
 
     zero = 0
     one = 1
 
-    def __init__(self, k: int, modulus: int | None = None):
+    def __init__(self, k: int):
         if not 1 <= k <= MAX_K:
             raise FieldTooLarge(f"GF(2^{k}) outside the supported range k <= {MAX_K}")
-        if modulus is None:
-            modulus = IRREDUCIBLE[k]
-        if modulus.bit_length() - 1 != k:
-            raise ValueError("modulus degree must equal k")
+        modulus = IRREDUCIBLE[k]
         if not gf2_poly_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is reducible over GF(2)")
         self.k = k
@@ -202,26 +192,22 @@ class GF2k(Domain):
         return range(self.order)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GF2k)
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, GF2k) and self.k == other.k
 
     def __hash__(self):
-        return hash(("GF2k", self.k, self.modulus))
+        return hash(("GF2k", self.k))
 
     def __repr__(self):
         return f"GF(2^{self.k})"
-
-
-GF2 = GF2k(1)
 
 
 @lru_cache(maxsize=None)
 def gf2k(k: int) -> GF2k:
     """The field with 2^k elements under the built-in modulus table."""
     return GF2k(k)
+
+
+GF2 = gf2k(1)
 
 
 def roots_in_gf2k(H: Poly, field: GF2k) -> list[int]:
@@ -392,11 +378,12 @@ def irreducible_factor_degrees(H: Poly) -> set[int]:
 
 
 @lru_cache(maxsize=None)
-def _embedding_root(src_k: int, src_mod: int, dst_k: int, dst_mod: int) -> int:
+def _embedding_root(src_k: int, dst_k: int) -> int:
     """Smallest root of the source modulus inside the destination field."""
     if dst_k % src_k:
         raise ValueError(f"GF(2^{src_k}) does not embed in GF(2^{dst_k})")
-    dst = GF2k(dst_k, dst_mod)
+    dst = gf2k(dst_k)
+    src_mod = IRREDUCIBLE[src_k]
     ring = PolyRing(dst, "x")
     mod_poly = Poly(ring, [(src_mod >> i) & 1 for i in range(src_k + 1)])
     roots = roots_in_gf2k(mod_poly, dst)
@@ -409,7 +396,7 @@ def embed(x: int, src: GF2k, dst: GF2k) -> int:
     """Canonical field embedding GF(2^src.k) -> GF(2^dst.k), src.k | dst.k."""
     if src == dst:
         return x
-    root = _embedding_root(src.k, src.modulus, dst.k, dst.modulus)
+    root = _embedding_root(src.k, dst.k)
     out = 0
     power = 1
     for i in range(src.k):

@@ -375,8 +375,10 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
     """Odd-degree good-reduction chain over the tame field Q(2^(1/r)).
 
     Requires v2(z^r) >= v2(s^2) + 4.  Twists to the normalized (z', s'),
-    scales x by pi^v2(s') and y by pi^(r v2(s')/2), then x by pi^2 and
-    y -> pi^r y + 1, and certifies: the final model agrees termwise with
+    then, with v = v2(s'), applies the one change of variables
+    x = pi^(v+2) X, y = pi^(r(v+2)/2) Y + pi^(rv/2): x scaled by pi^v and
+    y by pi^(rv/2), followed by x -> pi^2 x, y -> pi^r y + 1.  It
+    certifies that the final model agrees termwise with
 
         y^2 + y = x^r + sum_k c_k (z'/pi^(v2(s'^2)+4))^k x^(r-2k)
                         + (s'/2^v2(s') - 1)/4,
@@ -391,14 +393,11 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
     E0 = build_curve(C_ZS, r, z=L.from_rational(z1), s=L.from_rational(s1), dom=L).equation
 
     v = v2(s1)
-    step1 = MobiusChange(
-        L.pi_power(v), L.zero, L.zero, L.one, L.pi_power(r * v // 2), Rx.zero
-    )
-    res1 = apply_change(E0, step1)
-    step2 = MobiusChange(L.pi_power(2), L.zero, L.zero, L.one, L.pi_power(r), Rx.one)
-    res2 = apply_change(res1.equation, step2)
-    model = res2.equation
-    factor = L.mul(res1.factor, res2.factor)
+    res = apply_change(E0, MobiusChange(
+        L.pi_power(v + 2), L.zero, L.zero, L.one, L.pi_power(r * (v + 2) // 2),
+        Rx.const(L.pi_power(r * v // 2)),
+    ))
+    model = res.equation
 
     notes = [
         "second substitution scales x by pi^2 (termwise degree accounting; "
@@ -420,17 +419,13 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
 
     display_matches = model.Q == expected_Q and model.P == expected_P
     _require(display_matches, label, "final model matches the stated closed form")
-    # the pi-scaling probe x -> pi x, y -> pi^r y + 1 would give the x^r
-    # coefficient lc(P) pi^r / pi^(2r); the stated model needs 1 there
-    if L.mul(res1.equation.P.lc(), L.pi_power(-r)) == L.one:
-        notes.append("unexpected: the pi-scaling probe also gives the x^r coefficient 1")
 
     integral = all(
         (not any(c)) or L.val(c) >= 0 for c in model.Q.cs + model.P.cs
     )
     _require(integral, label, "final model is integral")
 
-    disc = L.mul(factor, L.from_rational(certified_disc(C_ZS, r, QQ, (z1, s1))))
+    disc = L.mul(res.factor, L.from_rational(certified_disc(C_ZS, r, QQ, (z1, s1))))
     dval = L.val(disc)
     _require(dval == 0, label, "unit discriminant")
 

@@ -202,6 +202,84 @@ def test_internal_contradiction_is_a_hard_failure(monkeypatch):
         cross_validate("rrp", 3, 16)
 
 
+def test_even_oracle_reads_the_certified_fiber(monkeypatch, capsys):
+    """The ppr-even/35p oracle exponent comes from the pipeline's fiber type."""
+    real = classify_mod._even_pipeline
+    flip = {"smooth": "nodal", "nodal": "smooth"}
+
+    def flipped(*args):
+        res = real(*args)
+        return dataclasses.replace(res, fiber_kind=flip[res.fiber_kind])
+
+    monkeypatch.setattr(classify_mod, "_even_pipeline", flipped)
+    for signature, r, t in (("ppr-even", 3, F(1, 8)), ("ppr-even", 5, F(1, 8)),
+                            ("35p", None, F(8)), ("35p", None, F(-3))):
+        cv = cross_validate(signature, r, t)
+        assert cv.oracle_exponent == 1 and not cv.agree, (signature, r, t)
+        assert cv.conflict.startswith(f"printed exponent {cv.printed.exponent} vs ")
+        assert cv.notes == ["nodal (toric) reduction"]
+    for signature, r, t in (("ppr-even", 3, F(4)), ("ppr-even", 3, F(-3)),
+                            ("35p", None, F(3, 2))):
+        with pytest.raises(PipelineAssertionFailed, match="internal contradiction"):
+            cross_validate(signature, r, t)
+    argv = ["classify", "--signature", "ppr-even", "--r", "3", "--t", "4", "--oracle-check"]
+    assert frey2.cli.main(argv) == frey2.cli.EXIT_ASSERTION
+    assert "internal contradiction" in capsys.readouterr().err
+
+
+def _residue_degree_reference(level):
+    return next(f for f in range(1, level) if pow(2, f, level) in (1, level - 1))
+
+
+def _printed_reference(signature, r, t, mode):
+    """(case, exponent, inertial type) by the rules as printed, written out
+    independently of frey2.classify; oracle mode moves ppr-odd's class to -4."""
+    vt, v1t = v2(t), v2(1 - t)
+    level = 5 if signature == "35p" else r
+    if signature == "ppr-even":
+        if vt > 0:
+            return f"v2(t) = {vt} > 0", 1, "toric"
+        if v1t > 0:
+            return f"v2(1-t) = {v1t} > 0", 1, "toric"
+        case, val, mod, cls = f"v2(t) = {vt} < 0", vt, r, 0
+    elif signature == "35p":
+        if vt > 0:
+            case, val, mod, cls = f"v2(t) = {vt} > 0", vt, 3, 0
+        elif v1t > 0:
+            case, val, mod, cls = f"v2(1-t) = {v1t} > 0", v1t, 5, 0
+        else:
+            return f"v2(t) = {vt} < 0", 1, "toric"
+    elif signature == "ppr-odd":
+        if vt > -4:
+            return f"v2(t) = {vt} > -4", NOT_COVERED, None
+        case, val, mod = f"v2(t) = {vt} <= -4", vt, r
+        cls = -4 if mode == ORACLE_CORRECTED else -2
+    else:
+        name, val, cls = (("t(t-1)", v2(t * (t - 1)), 4) if signature == "rrp"
+                          else ("t-1", v2(t - 1), 6))
+        if val < cls:
+            return f"v2({name}) = {val} < {cls}", NOT_COVERED, None
+        case, mod = f"v2({name}) = {val} >= {cls}", r
+    if (val - cls) % mod == 0:
+        return case, 0, "good"
+    f = _residue_degree_reference(level)
+    return case, 2, PRINCIPAL_SERIES if (2**f - 1) % mod == 0 else SUPERCUSPIDAL
+
+
+def test_classify_matches_the_printed_rules_on_every_grid_form():
+    forms = [F(2) ** v for v in range(-12, 13) if v]
+    forms += [1 + sign * F(2) ** v for v in range(1, 13) for sign in (1, -1)]
+    for signature in classify_mod.SIGNATURES:
+        for r in ([None] if signature == "35p" else (3, 5, 7, 11, 13, 17, 19)):
+            for t in forms:
+                for mode in (TABLE_AS_PRINTED, ORACLE_CORRECTED):
+                    rep = classify(signature, r, t, mode)
+                    got = rep.case, rep.exponent, rep.inertial_type
+                    assert got == _printed_reference(signature, r, t, mode), (
+                        signature, r, t, mode)
+                    assert (rep.signature, rep.r, rep.t, rep.mode) == (signature, r, t, mode)
+
+
 def test_table_grid_runs_each_t_independent_pipeline_once(monkeypatch):
     calls = []
     for name in ("pipeline_ppr_even", "pipeline_35p"):

@@ -275,6 +275,17 @@ CLI_GOLDENS = [
        ["reduce", "--pipeline", "odd-good", "--z", z, "--s", s, "--r", r])
       for z, s, r in (("1", "7/4", "3"), ("1", "31/16", "3"), ("1", "255/128", "5"),
                       ("240", "7440", "3"))],
+    # one covered input per (signature, valuation case), with the oracle attached
+    *[(f"classify_{sig}{f'_r{r}' if r else ''}_t{t.replace('/', '-')}.json",
+       ["classify", "--signature", sig, *(["--r", r] if r else []), "--t", t,
+        "--oracle-check"])
+      for sig, r, t in (("ppr-even", "5", "1/32"), ("ppr-even", "5", "4"),
+                        ("ppr-even", "5", "-3"), ("35p", None, "8"), ("35p", None, "-3"),
+                        ("35p", None, "3/2"), ("ppr-odd", "3", "1/16"), ("rrp", "3", "16"),
+                        ("2rp", "3", "129"))],
+    ("classify_ppr-odd_r3_t1-32_oracle.json",
+     ["classify", "--signature", "ppr-odd", "--r", "3", "--t", "1/32", "--mode", "oracle",
+      "--oracle-check"]),
 ]
 
 

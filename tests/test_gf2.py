@@ -9,7 +9,6 @@ from frey2.algebra import Poly, PolyRing, PrimeField
 from frey2.errors import ZeroInput
 from frey2.gf2 import (
     GF2,
-    GF2k,
     IRREDUCIBLE,
     embed,
     gf2_poly_irreducible,
@@ -28,13 +27,7 @@ def test_builtin_moduli_are_irreducible():
     for k, m in IRREDUCIBLE.items():
         assert m.bit_length() - 1 == k
         assert gf2_poly_irreducible(m)
-
-
-def test_modulus_validation():
-    with pytest.raises(ValueError):
-        GF2k(4, 0b10101)  # degree 4 but x^4+x^2+1 = (x^2+x+1)^2
-    with pytest.raises(ValueError):
-        GF2k(3, 0b1011 << 1)  # degree mismatch
+    assert not gf2_poly_irreducible(0b10101)  # x^4+x^2+1 = (x^2+x+1)^2
 
 
 def test_field_axioms_gf16(rng):

@@ -94,15 +94,18 @@ class ConductorReport:
         return self.exponent != NOT_COVERED
 
 
-def _validate(signature: str, r: int | None, t) -> Fraction:
+def _validate(signature: str, r: int | None, t) -> tuple[int | None, Fraction]:
+    """(r, t) checked; r is None for 35p, whose exponents do not depend on it."""
     if signature not in CASES:
         raise ValueError(f"unknown signature {signature!r}")
-    if signature != "35p":
+    if signature == "35p":
+        r = None
+    else:
         check_odd_prime(r)
     t = Fraction(t)
     if t in (0, 1):
         raise DegenerateParameter(f"t = {t} is degenerate")
-    return t
+    return r, t
 
 
 class Case(NamedTuple):
@@ -180,9 +183,7 @@ def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED,
     del p
     if mode not in (TABLE_AS_PRINTED, ORACLE_CORRECTED):
         raise ValueError(f"unknown mode {mode!r}")
-    t = _validate(signature, r, t)
-    if signature == "35p":
-        r = None
+    r, t = _validate(signature, r, t)
     source = "printed-table" if mode == TABLE_AS_PRINTED else "construction-oracle"
     case = CASES[signature](r, t)
 
@@ -244,7 +245,7 @@ CHART_NOTES = {
 
 def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
     """Printed rule vs construction oracle; conflicts are surfaced, not resolved."""
-    t = _validate(signature, r, t)
+    r, t = _validate(signature, r, t)
     printed = classify(signature, r, t, TABLE_AS_PRINTED)
     oracle_rep = classify(signature, r, t, ORACLE_CORRECTED)
     if signature in ODD_FAMILY:
@@ -264,7 +265,7 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
         # the certified fiber decides: nodal is toric, smooth is good over
         # the case's chart and unramified by the chart congruence
         case = CASES[signature](r, t)
-        pipe = _even_pipeline(signature, case.key, r if signature == "ppr-even" else None)
+        pipe = _even_pipeline(signature, case.key, r)
         if pipe.fiber_kind == "nodal":
             oracle_exp, why = 1, NODAL_NOTE
         elif pipe.fiber_kind == "smooth" and case.mod is not None:
@@ -283,7 +284,6 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
             f"printed exponent {printed.exponent} vs construction-oracle "
             f"exponent {oracle_exp} at t = {t} (case {printed.case})"
         )
-    witness = f"{pipe.model_str()}  |  fiber: {pipe.fiber_str()} ({pipe.fiber_kind})"
     return CrossValidation(
         signature=signature,
         r=r,
@@ -293,7 +293,7 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
         pipeline=pipe,
         oracle_exponent=oracle_exp,
         agree=agree,
-        witness=witness,
+        witness=pipe.witness,
         conflict=conflict,
         notes=[why],
     )

@@ -3,11 +3,17 @@
 Field elements are plain ints interpreted as bit vectors over GF(2); the
 zero and one elements are 0 and 1.  There is one field per k, under the
 built-in modulus `IRREDUCIBLE[k]`, and its arithmetic goes through
-discrete-log tables built once.  Roots are found algebraically:
-gcd(H, x^(2^k) - x) keeps the distinct linear factors of H, and trace
-maps split them apart, so the cost grows polynomially in k.
-`irreducible_factor_degrees` works over any finite field, the prime
-fields `algebra.PrimeField` included.  The package is pure Python;
+discrete-log tables built once.  Polynomials over GF(2^k) on the verified
+paths run on one kernel: dense int lists multiplied through those tables
+(`_ldivmod`, `_lsquare_mod`, `_lgcd`).  `roots_in_gf2k` and
+`irreducible_factor_degrees` both build the Frobenius powers x^(2^i) mod H
+by repeated squaring, each power once per polynomial: roots come from
+gcd(H, x^(2^k) - x), split apart by traces that are linear combinations
+of those powers; factor degrees from gcd(H, x^(q^d) - x), d = 1..deg H.
+The cost grows polynomially in k.  `irreducible_factor_degrees` also
+works over the prime fields `algebra.PrimeField`, in `Poly` arithmetic;
+`frobenius_power_mod` and `linear_factor_count` stay on `Poly` arithmetic
+as the independent oracle of the kernel.  The package is pure Python;
 `KERNEL_BACKEND` names that single backend.
 """
 
@@ -211,14 +217,20 @@ GF2 = gf2k(1)
 
 
 def roots_in_gf2k(H: Poly, field: GF2k) -> list[int]:
-    """All roots of H in the field, in ascending order.
+    """All roots of H in the field, in ascending order, on the int-list kernel.
 
-    g = gcd(H, x^(2^k) - x) is the product of the distinct linear factors
-    of H.  It is split by g_j = gcd(g, Tr(beta_j x) mod g), beta_j = 2^j
-    over the polynomial basis: the roots of g_j are those with trace
-    Tr(beta_j a) = 0.  The trace form is nondegenerate, so two distinct
-    roots are separated at some j (Berlekamp 1970, in the characteristic-2
-    form of Cantor-Zassenhaus 1981); no randomness is needed.
+    The k squarings of x mod h give the Frobenius powers F_i = x^(2^i) mod
+    h (i < k) and x^(2^k); g = gcd(h, x^(2^k) - x) is the product of the
+    distinct linear factors of h.  It is split by g_j = gcd(g, T_j mod g),
+    where T_j = Tr(beta_j x) = sum_i beta_j^(2^i) F_i, beta_j = 2^j over
+    the polynomial basis: the roots of g_j are those with trace
+    Tr(beta_j a) = 0.  Each T_j is a linear combination of the F_i (taken
+    mod the first g), built at most once and reduced mod every part it
+    splits, which is exact since every part divides g.  The trace form is
+    nondegenerate, so two distinct roots are separated at some j
+    (Berlekamp 1970, in the characteristic-2 form of Cantor-Zassenhaus
+    1981; Frobenius powers reused as in von zur Gathen-Shoup 1992); no
+    randomness is needed.
     """
     if H.is_zero():
         raise ZeroInput("root search on the zero polynomial")
@@ -228,12 +240,14 @@ def roots_in_gf2k(H: Poly, field: GF2k) -> list[int]:
     h = _lmonic(list(H.cs), exp, log)
     if len(h) < 2:
         return []
-    xq = _ldivmod([0, 1], h, exp, log)[1]
+    frob = [_ldivmod([0, 1], h, exp, log)[1]]
     for _ in range(k):
-        xq = _lsquare_mod(xq, h, exp, log)
-    xq = _ladd(xq, [0, 1])
+        frob.append(_lsquare_mod(frob[-1], h, exp, log))
+    g = _lgcd(h, _ladd(frob.pop(), [0, 1]), exp, log)
+    frob = [_ldivmod(f, g, exp, log)[1] for f in frob]
+    traces = {}
     roots = []
-    stack = [(_lgcd(h, xq, exp, log), 0)]
+    stack = [(g, 0)]
     while stack:
         g, j = stack.pop()
         if len(g) < 3:
@@ -244,7 +258,9 @@ def roots_in_gf2k(H: Poly, field: GF2k) -> list[int]:
         while not 1 < len(gj) < len(g):
             if j == k:
                 raise Frey2Error("trace splitting left roots unseparated")
-            gj = _lgcd(g, _ltrace_mod(1 << j, g, k, exp, log), exp, log)
+            if j not in traces:
+                traces[j] = _ltrace(log[1 << j], frob, field)
+            gj = _lgcd(g, _ldivmod(traces[j], g, exp, log)[1], exp, log)
             j += 1
         # the trace of beta_i x is constant on each part for every i < j
         stack.append((gj, j))
@@ -305,14 +321,16 @@ def _lsquare_mod(a, m, exp, log):
     return _ldivmod(sq, m, exp, log)[1]
 
 
-def _ltrace_mod(beta, m, k, exp, log):
-    """Tr(beta x) = sum of (beta x)^(2^i), i < k, reduced mod the monic m."""
-    t = _ldivmod([0, beta], m, exp, log)[1]
-    tr = t
-    for _ in range(k - 1):
-        t = _lsquare_mod(t, m, exp, log)
-        tr = _ladd(tr, t)
-    return tr
+def _ltrace(lbeta, frob, field):
+    """Tr(beta x) = sum of beta^(2^i) * frob[i], i < k, for log beta = lbeta."""
+    exp, log, cyc = field._exp, field._log, field.order - 1
+    tr = [0] * max(map(len, frob))
+    for i, f in enumerate(frob):
+        lb = (lbeta << i) % cyc
+        for c, v in enumerate(f):
+            if v:
+                tr[c] ^= exp[lb + log[v]]
+    return _ltrim(tr)
 
 
 def _lgcd(a, b, exp, log):
@@ -348,28 +366,52 @@ def irreducible_factor_degrees(H: Poly) -> set[int]:
     Computes deg gcd(H, x^(q^d) - x) for d = 1..deg H; that degree equals
     the sum of e * (number of distinct degree-e factors) over e | d, from
     which the factor-degree counts are peeled off.  Only degrees are
-    needed, never the factors themselves (Cantor-Zassenhaus 1981).
+    needed, never the factors themselves (Cantor-Zassenhaus 1981).  Each
+    Frobenius power x^(q^d) mod H is the q-th power of the previous one.
+    Over GF(2^k) that step is k squarings on the int-list kernel that
+    `roots_in_gf2k` runs on; over a prime field it is square-and-multiply
+    in `Poly` arithmetic.
     """
     if H.is_zero():
         raise ZeroInput("factor degrees of the zero polynomial")
-    ring = H.ring
-    H = H.monic()
-    n = H.degree()
-    if n == 0:
+    if H.degree() == 0:
         return set()
-    # left-to-right square-and-multiply for xq -> xq^q: over GF(2^k) this is
-    # exactly k squarings and no multiplication by xq
-    q_bits = bin(H.base.order)[3:]
+    base = H.base
+    if isinstance(base, GF2k):
+        exp, log = base._exp, base._log
+        h = _lmonic(list(H.cs), exp, log)
+
+        def frobenius(xq):
+            for _ in range(base.k):
+                xq = _lsquare_mod(xq, h, exp, log)
+            return xq
+
+        def root_degree(xq):
+            return len(_lgcd(h, _ladd(xq, [0, 1]), exp, log)) - 1
+
+        xq = _ldivmod([0, 1], h, exp, log)[1]
+    else:
+        ring = H.ring
+        H = H.monic()
+        q_bits = bin(base.order)[3:]
+
+        def frobenius(xq):
+            # left-to-right square-and-multiply for xq -> xq^q
+            prev = xq
+            for bit in q_bits:
+                xq = (xq * xq).divmod(H)[1]
+                if bit == "1":
+                    xq = (xq * prev).divmod(H)[1]
+            return xq
+
+        def root_degree(xq):
+            return gcd_monic(H, xq - ring.gen).degree()
+
+        xq = ring.gen.divmod(H)[1]
     counts: dict[int, int] = {}
-    xq = ring.gen.divmod(H)[1]
-    for d in range(1, n + 1):
-        prev = xq
-        for bit in q_bits:
-            xq = (xq * xq).divmod(H)[1]
-            if bit == "1":
-                xq = (xq * prev).divmod(H)[1]
-        g = gcd_monic(H, xq - ring.gen)
-        total = g.degree()
+    for d in range(1, H.degree() + 1):
+        xq = frobenius(xq)
+        total = root_degree(xq)
         covered = sum(e * c for e, c in counts.items() if d % e == 0)
         if (total - covered) % d:
             raise Frey2Error("factor degree accounting failed")

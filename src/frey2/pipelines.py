@@ -20,6 +20,7 @@ Q(2^(1/r)) with concrete rational parameters.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import Poly, PolyRing, QQ, check_odd_prime, v2
@@ -75,11 +76,11 @@ class PipelineResult:
     factor_consistent: bool = True  # disc is factor * Delta(E0) by construction
     notes: list[str] = field(default_factory=list)
 
-    def model_str(self) -> str:
-        return equation_str(self.model)
-
-    def fiber_str(self) -> str:
-        return equation_str(self.fiber.eq)
+    @cached_property
+    def witness(self) -> str:
+        """Model and special fiber on one line, rendered once per result."""
+        return (f"{equation_str(self.model)}  |  fiber: {equation_str(self.fiber.eq)} "
+                f"({self.fiber_kind})")
 
 
 def _require(cond: bool, label: str, claim: str):

@@ -6,6 +6,7 @@ import pytest
 
 import frey2
 import frey2.classify as classify_mod
+import frey2.pipelines as pipelines_mod
 from frey2.algebra import v2
 from frey2.classify import (
     NOT_COVERED,
@@ -33,6 +34,7 @@ from frey2.pipelines import (
     pipeline_35p,
     pipeline_ppr_even,
 )
+from frey2.serialize import crossval_json, dumps
 
 
 def test_residue_degree_examples():
@@ -318,6 +320,37 @@ def test_cached_pipeline_result_equals_fresh_run(signature, case, r):
     assert fresh is not cached
     assert _result_fields(cached) == _result_fields(fresh)
     assert cached == fresh
+
+
+def test_even_witness_is_rendered_once_per_cached_pipeline(monkeypatch):
+    renders = []
+    real = pipelines_mod.equation_str
+
+    def counting(eq):
+        renders.append(eq)
+        return real(eq)
+
+    monkeypatch.setattr(pipelines_mod, "equation_str", counting)
+    classify_mod._even_pipeline.cache_clear()
+    for signature, r, ts in (("ppr-even", 5, (F(1, 2), F(3, 4), F(-5, 8), F(7, 32))),
+                             ("35p", None, (F(8), F(16), F(-24), F(40)))):
+        first = cross_validate(signature, r, ts[0])
+        renders.clear()
+        for t in ts[1:]:
+            cv = cross_validate(signature, r, t)
+            assert cv.pipeline is first.pipeline and cv.witness is first.witness
+        assert renders == [], signature
+    classify_mod._even_pipeline.cache_clear()
+
+
+@pytest.mark.parametrize("r", [None, 3, 5, 7])
+def test_35p_r_is_normalised_alike_in_classify_and_cross_validate(r):
+    for t in (F(8), F(-3), F(3, 2), F(33, 32)):
+        cv = cross_validate("35p", r, t)
+        assert (cv.r, cv.printed.r, cv.oracle.r) == (None, None, None)
+        for mode in (TABLE_AS_PRINTED, ORACLE_CORRECTED):
+            assert classify("35p", r, t, mode).r is None
+        assert dumps(crossval_json(cv)) == dumps(crossval_json(cross_validate("35p", None, t)))
 
 
 def test_frey2_classify_is_the_module():

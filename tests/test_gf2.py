@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -195,21 +196,32 @@ def test_roots_gf2_16_known_roots(seed):
     assert got == [a for a in F.elements() if H.eval(a) == 0]
 
 
-def _factor_degrees_by_trial_division(H):
-    """Divide out every monic polynomial of degree d = 1, 2, ... up to deg/2.
+def _monic_irreducibles(ring, d, found):
+    """Monic irreducibles of degree d: the monic polynomials with no monic
+    factor of degree 1..d/2.  `found` memoises them by degree."""
+    if d not in found:
+        lower = [f for e in range(1, d // 2 + 1) for f in _monic_irreducibles(ring, e, found)]
+        found[d] = [
+            g for low in itertools.product(range(ring.base.order), repeat=d)
+            for g in (Poly(ring, low + (1,)),)
+            if all(not g.divmod(f)[1].is_zero() for f in lower)
+        ]
+    return found[d]
 
-    Smaller factors are removed first, so each divisor found is
-    irreducible; what is left after degree deg/2 is irreducible or 1.
-    """
-    K, ring = H.base, H.ring
+
+def _factor_degrees_by_trial_division(H, found):
+    """Divide out every monic irreducible of degree d = 1, 2, ... up to deg/2;
+    what is left after degree deg/2 is irreducible or 1."""
     H = H.monic()
     degs = set()
     d = 1
     while 2 * d <= H.degree():
-        for low in itertools.product(range(K.order), repeat=d):
-            g = Poly(ring, low + (1,))
-            while H.degree() >= d and H.divmod(g)[1].is_zero():
-                H = H.divmod(g)[0]
+        for g in _monic_irreducibles(H.ring, d, found):
+            while H.degree() >= d:
+                quo, rem = H.divmod(g)
+                if not rem.is_zero():
+                    break
+                H = quo
                 degs.add(d)
         d += 1
     if H.degree() >= 1:
@@ -222,6 +234,7 @@ def test_factor_degrees_over_prime_fields(p):
     K = PrimeField(p)
     R = PolyRing(K, "x")
     rng = random.Random(p)
+    found = {}
     for n in range(1, 7):
         if p**n <= 729:
             lows = itertools.product(range(p), repeat=n)
@@ -229,4 +242,60 @@ def test_factor_degrees_over_prime_fields(p):
             lows = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(150))
         for low in lows:
             H = Poly(R, low + (rng.randrange(1, p),))
-            assert irreducible_factor_degrees(H) == _factor_degrees_by_trial_division(H), H
+            assert irreducible_factor_degrees(H) == _factor_degrees_by_trial_division(H, found), H
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_factor_degrees_over_gf2k(k):
+    """Every monic polynomial while q^n <= 4096, then seeded degree-n
+    samples up to q^n <= 2^20 (random, a product of two random factors, and
+    one with a repeated factor), all against trial division."""
+    K = gf2k(k)
+    R = PolyRing(K, "x")
+    q = K.order
+    rng = random.Random(k)
+    found = {}
+
+    def monic(n):
+        return Poly(R, [rng.randrange(q) for _ in range(n)] + [1])
+
+    n = 1
+    while q**n <= 4096:
+        for low in itertools.product(range(q), repeat=n):
+            H = Poly(R, low + (1,))
+            assert irreducible_factor_degrees(H) == _factor_degrees_by_trial_division(H, found), H
+        n += 1
+    while q**n <= 1 << 20:
+        for _ in range(25):
+            a, b = rng.randrange(1, n), rng.randrange(1, n // 2 + 1)
+            G = monic(b)
+            for H in (monic(n), monic(a) * monic(n - a), G * G * monic(n - 2 * b)):
+                H = H * Poly(R, [rng.randrange(1, q)])
+                assert irreducible_factor_degrees(H) == _factor_degrees_by_trial_division(H, found), H
+        n += 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_roots_gf2_16_deep_trace_splitting(seed):
+    """Squarefree products of degree >= 10 whose roots lie mostly in the
+    subfields GF(2^2), GF(2^4), GF(2^8) of GF(2^16): many beta_j give such
+    roots equal traces, so the split runs through many levels."""
+    F = gf2k(16)
+    R = PolyRing(F, "x")
+    rng = random.Random(seed)
+    roots = set()
+    for sub, count in ((2, 4), (4, 5), (8, 5)):
+        S = gf2k(sub)
+        roots |= {embed(a, S, F) for a in rng.sample(range(S.order), count)}
+    roots |= set(rng.sample(range(F.order), 3))
+    H = Poly(R, [rng.randrange(1, F.order)])
+    for a in roots:
+        H = H * Poly(R, [a, 1])
+    # x^2 + x + c has no root in GF(2^16) iff Tr(c) = 1
+    c = next(c for c in iter(lambda: rng.randrange(F.order), None)
+             if functools.reduce(F.add, (F.pow(c, 1 << i) for i in range(16))) == 1)
+    for G in (H, H * Poly(R, [c, 1, 1])):
+        assert G.degree() >= 10
+        got = roots_in_gf2k(G, F)
+        assert got == sorted(roots)
+        assert len(got) == linear_factor_count(G, F)

@@ -15,7 +15,10 @@ verbatim (ppr-odd: exponent 0 iff v2(t) = -2 mod r).  `oracle_corrected`
 derives the ppr-odd congruence from the good-reduction construction
 instead (base-field model iff v2(s'^2) + 4 = 0 mod r with s = 2 - 4t,
 i.e. v2(t) = -4 mod r).  `cross_validate` runs both plus the matching
-reduction pipeline and reports conflicts without adjudicating them.
+reduction pipeline and reports conflicts without adjudicating them.  For
+ppr-odd, rrp and 2rp that is the odd-degree chain read off its per-r
+certificate (`pipelines.certified_odd_good`), not the concrete chain
+`pipeline_odd_good_reduction`, which only `frey2 reduce` runs.
 
 Each signature's case split is stated once, in its `CASES` function,
 which `classify` and `cross_validate` both read.  The ppr-even/35p oracle
@@ -34,9 +37,9 @@ from .errors import DegenerateParameter, NotCovered, PipelineAssertionFailed
 from .families import C_MINUS, H_2R, H_RR, zs_params
 from .pipelines import (
     PipelineResult,
+    certified_odd_good,
     field_of_definition,
     pipeline_35p,
-    pipeline_odd_good_reduction,
     pipeline_ppr_even,
 )
 
@@ -214,9 +217,13 @@ class CrossValidation:
     pipeline: PipelineResult | None
     oracle_exponent: int
     agree: bool
-    witness: str
     conflict: str | None = None
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def witness(self) -> str:
+        """The pipeline's model and fiber, rendered on first read."""
+        return self.pipeline.witness
 
 
 @functools.lru_cache(maxsize=64)
@@ -226,11 +233,12 @@ def _even_pipeline(signature: str, case: str, r: int | None) -> PipelineResult:
     These pipelines certify their case for every t at once, so the result
     depends on (signature, case, r) only.  The names are looked up in this
     module's globals at call time, so a miss runs whatever they are bound
-    to.  Callers share the returned result and must not mutate it.
+    to.  Callers share the returned result and must not mutate it.  Its
+    witness is rendered here, once for every row that shares it.
     """
-    if signature == "ppr-even":
-        return pipeline_ppr_even(case, r)
-    return pipeline_35p(case)
+    res = pipeline_ppr_even(case, r) if signature == "ppr-even" else pipeline_35p(case)
+    res.witness  # fills the cached_property
+    return res
 
 
 NODAL_NOTE = "nodal (toric) reduction"
@@ -251,15 +259,15 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
     if signature in ODD_FAMILY:
         if not printed.covered():
             raise NotCovered(f"{signature} at t = {t}: no pipeline applies")
-        pipe = pipeline_odd_good_reduction(*zs_params(ODD_FAMILY[signature], r, QQ, t), r)
+        pipe = certified_odd_good(*zs_params(ODD_FAMILY[signature], r, QQ, t), r)
         oracle_exp = 0 if pipe.base_defined else 2
         why = ("good-reduction model is base-defined" if pipe.base_defined
                else "good reduction only over the ramified degree-r extension")
         if oracle_rep.exponent != oracle_exp:
             raise PipelineAssertionFailed(
                 f"internal contradiction for {signature} at t = {t}: oracle-mode "
-                f"classify gives exponent {oracle_rep.exponent}, the pipeline it "
-                f"wraps gives {oracle_exp}"
+                f"classify gives exponent {oracle_rep.exponent}, the certified "
+                f"model gives {oracle_exp}"
             )
     else:
         # the certified fiber decides: nodal is toric, smooth is good over
@@ -293,7 +301,6 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
         pipeline=pipe,
         oracle_exponent=oracle_exp,
         agree=agree,
-        witness=pipe.witness,
         conflict=conflict,
         notes=[why],
     )

@@ -419,7 +419,6 @@ def irreducible_factor_degrees(H: Poly) -> set[int]:
     return {e for e, c in counts.items() if c > 0}
 
 
-@lru_cache(maxsize=None)
 def _embedding_root(src_k: int, dst_k: int) -> int:
     """Smallest root of the source modulus inside the destination field."""
     if dst_k % src_k:
@@ -434,17 +433,28 @@ def _embedding_root(src_k: int, dst_k: int) -> int:
     return min(roots)
 
 
+@lru_cache(maxsize=None)
+def _embedding_basis(src_k: int, dst_k: int) -> tuple[int, ...]:
+    """Images root^i, i < src_k, of the source basis x^i under the embedding."""
+    dst, root = gf2k(dst_k), _embedding_root(src_k, dst_k)
+    powers = [1]
+    for _ in range(src_k - 1):
+        powers.append(dst.mul(powers[-1], root))
+    return tuple(powers)
+
+
 def embed(x: int, src: GF2k, dst: GF2k) -> int:
-    """Canonical field embedding GF(2^src.k) -> GF(2^dst.k), src.k | dst.k."""
+    """Canonical field embedding GF(2^src.k) -> GF(2^dst.k), src.k | dst.k:
+    the embedding is GF(2)-linear, so x maps to the XOR of its bits' basis images."""
     if src == dst:
         return x
-    root = _embedding_root(src.k, dst.k)
     out = 0
-    power = 1
-    for i in range(src.k):
-        if (x >> i) & 1:
-            out ^= power
-        power = dst.mul(power, root)
+    for image in _embedding_basis(src.k, dst.k):
+        if not x:
+            break
+        if x & 1:
+            out ^= image
+        x >>= 1
     return out
 
 

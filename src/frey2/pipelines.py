@@ -15,15 +15,22 @@ certified closed form at the pipeline's parameter (`certified_disc`), so
 no determinant runs over a Laurent or tame domain.
 
 The even-degree (formal-parameter) cases prove their claims uniformly in
-v2(t) via Laurent models; the odd-degree case runs over the tame field
-Q(2^(1/r)) with concrete rational parameters.
+v2(t) via Laurent models.  The odd-degree chain has two forms.
+`odd_good_certificate(r)` proves it once per r for every (z, s) of the
+hypothesis, with pi^((v+2)/2), the scaled z and the unit part of s as
+symbols; `certified_odd_good` reads one (z, s) off that certificate, and
+`cross_validate` (hence `frey2 table` and `classify --oracle-check`) uses
+it.  `pipeline_odd_good_reduction` runs the chain over the tame field
+Q(2^(1/r)) with concrete rational parameters; it serves `frey2 reduce
+--pipeline odd-good` and is the test oracle of the certificate.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import Poly, PolyRing, QQ, check_odd_prime, v2
+from .algebra import Poly, PolyRing, QQ, check_odd_prime, rational_residue_bit, v2
 from .curves import HyperEq, MobiusChange, apply_change, equation_str
 # not called here; kept importable as `pipelines.hyper_discriminant`,
 # which perfbench/test_perfbench.py checks after tracing
@@ -36,6 +43,7 @@ from .families import (
     build_curve,
     c_coefficients,
     certified_disc,
+    czs_polynomial,
     h35_polys,
     omega_min_poly,
 )
@@ -458,4 +466,146 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
         field_of_definition="base" if base_defined else "ramified-degree-r",
         base_defined=base_defined,
         notes=notes + [f"twist delta = {delta}, normalized (z', s') = ({z1}, {s1})"],
+    )
+
+
+class CertifiedFiber(NamedTuple):
+    """One certified special fiber, its singular points and their type."""
+
+    fiber: SpecialFiber
+    kind: str
+    nodes: int
+    points: list[PointReport]
+
+
+@dataclass(frozen=True)
+class OddGoodCertificate:
+    """The odd-degree chain at one r, certified for the whole hypothesis class."""
+
+    r: int
+    fibers: dict  # (zeta mod pi, A mod 2) -> CertifiedFiber
+    disc_val: Fraction  # of the final model, the same at every (z, s)
+
+
+@lru_cache(maxsize=None)
+def odd_good_certificate(r: int) -> OddGoodCertificate:
+    """The odd-degree chain, certified once for every (z, s) of the hypothesis.
+
+    After twist normalization v = v2(s') is even and s'/2^v = 1 mod 4.  With
+    rho = pi^((v+2)/2), zeta = z'/rho^4 and A = (s'/2^v - 1)/4, the pair is
+    z' = zeta rho^4, s' = rho^(2r) (1 + 4A)/4, so v enters only through rho.
+    With rho, zeta and A as symbols, this certifies:
+
+    * the chain's change x = rho^2 X, y = rho^r Y + rho^r/2 sends
+      y^2 = C_zs(x; z', s') to y^2 + y = X^r + sum_k c_k zeta^k X^(r-2k) + A
+      (C_zs is isobaric for the weights (x, z, s) = (1, 2, r); then the
+      square is completed) and scales the discriminant by rho^(-2r(r-1));
+    * the c_k are integers and c_1 = -r is odd; zeta has valuation
+      (r v2(z') - 2v - 4)/r >= 0 by the hypothesis and A lies in Z_2, so
+      the model is integral, and since c_1 != 0 it is defined over Q_2 iff
+      zeta is, i.e. iff r | 2v + 4 (`field_of_definition`);
+    * its special fiber, which depends only on (zeta, A) mod pi, is smooth
+      for each of the four classes;
+    * its discriminant, the closed form at (zeta, S = (1 + 4A)/4), is
+      +-r^r ((1 + 4A)^2 - 64 zeta^r)^((r-1)/2): integral, with an odd
+      constant term and every other coefficient even, hence a unit.
+
+    A violated claim raises PipelineAssertionFailed, which is not cached.
+    """
+    check_odd_prime(r)
+    label = f"odd-good certificate/r={r}"
+    g = (r - 1) // 2
+    cs = c_coefficients(r)
+    _require(all(c.denominator == 1 for c in cs) and cs[0] == -r, label,
+             "the c_k are integers and c_1 = -r is odd")
+
+    # Q[rho^+-1][A][zeta]; rho's declared weight is never read, since the
+    # identity is one of Laurent polynomials in rho and so holds at every rho
+    lring = LaurentRing(FormalParam.positive("rho", WeightInterval.at_least(1)))
+    aring = PolyRing(lring, "A")
+    dom = PolyRing(aring, "zeta")
+    Rx = PolyRing(dom, "x")
+    rho = dom.const(aring.const(lring.gen))
+    zeta, A = dom.gen, dom.const(aring.gen)
+    rho_r = dom.pow(rho, r)
+    s1 = dom.mul(dom.mul(rho_r, rho_r), dom.add(dom.from_rational(Fraction(1, 4)), A))
+    E0 = build_curve(C_ZS, r, z=dom.mul(zeta, dom.pow(rho, 4)), s=s1, dom=dom).equation
+    shift = Rx.const(dom.mul(rho_r, dom.from_rational(Fraction(1, 2))))
+    res = apply_change(
+        E0, MobiusChange(dom.pow(rho, 2), dom.zero, dom.zero, dom.one, rho_r, shift)
+    )
+    _require(
+        res.equation == HyperEq(Rx.one, czs_polynomial(r, zeta, A, Rx), g),
+        label,
+        "x = rho^2 X, y = rho^r Y + rho^r/2 gives y^2 + y = X^r + sum_k c_k zeta^k "
+        "X^(r-2k) + A for every rho",
+    )
+    _require(res.factor == dom.pow(rho, -2 * r * (r - 1)), label,
+             "the change scales the discriminant by rho^(-2r(r-1))")
+
+    # the model has integer coefficients in (zeta, A), so its reduction is
+    # that of the integer model at the residues 0 or 1
+    Qx = PolyRing(QQ, "x")
+    fibers = {}
+    for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        rep = HyperEq(Qx.one, czs_polynomial(r, Fraction(key[0]), Fraction(key[1]), Qx), g)
+        fib = _fiber(rep, GF2, rational_residue_bit)
+        pts = singular_points(fib)
+        kind, nodes = fiber_kind(pts)
+        _require(kind == "smooth", label, f"smooth special fiber at (zeta, A) = {key} mod pi")
+        fibers[key] = CertifiedFiber(fib, kind, nodes, pts)
+
+    dring = PolyRing(PolyRing(QQ, "A"), "zeta")
+    S = dring.add(dring.from_rational(Fraction(1, 4)), dring.const(dring.base.gen))
+    disc = certified_disc(C_ZS, r, dring, (dring.gen, S))
+    const = disc.coeff(0).coeff(0)
+    rest = [c for i, zc in enumerate(disc.cs) for j, c in enumerate(zc.cs) if c and i + j]
+    _require(
+        const.denominator == 1 and const.numerator % 2 == 1
+        and all(c.denominator == 1 and c.numerator % 2 == 0 for c in rest),
+        label,
+        "discriminant is integral with odd constant term and even other terms",
+    )
+    return OddGoodCertificate(r, fibers, Fraction(0))
+
+
+def certified_odd_good(z, s, r: int) -> PipelineResult:
+    """The odd-degree good-reduction result at (z, s), read off the certificate.
+
+    Same model, fiber, discriminant and base-field verdict as
+    `pipeline_odd_good_reduction(z, s, r)` without running its chain: the
+    twist is normalized, the certified closed model is instantiated at
+    (zeta, A), its fiber is the certified one of (zeta, A) mod pi, and its
+    discriminant is the certified factor rho^(-2r(r-1)) = 2^(-(v+2)(r-1))
+    times the closed form at (z', s').
+    """
+    z, s = _check_hypothesis(z, s, r)
+    cert = odd_good_certificate(r)
+    delta, z1, s1 = normalize_twist(z, s, r)
+    L = TameField(r)
+    Rx = PolyRing(L, "x")
+    v = v2(s1)
+    zeta = L.mul(L.from_rational(z1), L.pi_power(-(2 * v + 4)))
+    A = (s1 / Fraction(2) ** v - 1) / 4
+    model = HyperEq(Rx.one, czs_polynomial(r, zeta, L.from_rational(A), Rx), (r - 1) // 2)
+    fib = cert.fibers[L.residue_bit(zeta), rational_residue_bit(A)]
+    base_defined = all(L.is_base(c) for c in model.Q.cs + model.P.cs)
+    return PipelineResult(
+        label=f"odd-good/r={r}",
+        r=r,
+        model=model,
+        integral=True,
+        disc=L.from_rational(
+            certified_disc(C_ZS, r, QQ, (z1, s1)) / Fraction(2) ** ((v + 2) * (r - 1))
+        ),
+        disc_val=cert.disc_val,
+        display_matches=True,
+        fiber=fib.fiber,
+        fiber_kind=fib.kind,
+        node_count=fib.nodes,
+        points=list(fib.points),
+        field_of_definition="base" if base_defined else "ramified-degree-r",
+        base_defined=base_defined,
+        notes=[f"certified for its congruence class by odd_good_certificate({r})",
+               f"twist delta = {delta}, normalized (z', s') = ({z1}, {s1})"],
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frey2 import gf2
 from frey2.algebra import Poly, PolyRing, PrimeField
 from frey2.errors import ZeroInput
 from frey2.gf2 import (
@@ -114,6 +115,29 @@ def test_embedding_is_field_hom():
             assert embed(F2.add(a, b), F2, F8s) == F8s.add(ea, eb)
     with pytest.raises(ValueError):
         embed(1, gf2k(3), gf2k(4))
+
+
+def _embed_by_power_walk(x, dst, root, src_k):
+    """Reference embedding: the XOR of root^i over the set bits i of x,
+    walking the powers of the embedding root one product at a time."""
+    out, power = 0, 1
+    for i in range(src_k):
+        if (x >> i) & 1:
+            out ^= power
+        power = dst.mul(power, root)
+    return out
+
+
+@pytest.mark.parametrize("src_k, dst_k", [(1, 16), (2, 4), (2, 16), (4, 8), (4, 16), (8, 16)])
+def test_embed_matches_the_power_walk(src_k, dst_k):
+    src, dst = gf2k(src_k), gf2k(dst_k)
+    root = gf2._embedding_root(src_k, dst_k)
+    if src.order <= 16:
+        xs = list(src.elements())
+    else:
+        xs = random.Random(src_k * 100 + dst_k).sample(range(src.order), 64)
+    for x in xs:
+        assert embed(x, src, dst) == _embed_by_power_walk(x, dst, root, src_k), x
 
 
 def clmul_mod(a, b, modulus, k):

@@ -6,13 +6,20 @@ import frey2.algebra as algebra_mod
 import frey2.families as families_mod
 import frey2.pipelines as pipelines_mod
 from frey2.algebra import QQ, PolyRing, v2
+from frey2.classify import NOT_COVERED, ODD_FAMILY, cross_validate
+from frey2.cli import EXIT_ASSERTION, generate_table, main
 from frey2.curves import equation_str, hyper_discriminant
 from frey2.errors import HypothesisViolated, PipelineAssertionFailed
+from frey2.families import zs_params
+from frey2.fibers import NODE, PointReport
+from frey2.gf2 import GF2
 from frey2.localfield import AffineVal, TameField
 from frey2.pipelines import (
     P35_CASES,
     PPR_EVEN_CASES,
+    certified_odd_good,
     field_of_definition,
+    odd_good_certificate,
     pipeline_35p,
     pipeline_odd_good_reduction,
     pipeline_ppr_even,
@@ -265,3 +272,68 @@ def test_pipeline_computes_singular_points_once(monkeypatch, run):
     res = run()
     assert len(calls) == 1
     assert res.points == real(res.fiber)
+
+
+def _assert_certificate_path_is_the_chain(signature, r, t):
+    """cross_validate's certificate path against the concrete chain at one row."""
+    z, s = zs_params(ODD_FAMILY[signature], r, QQ, t)
+    ref = pipeline_odd_good_reduction(z, s, r)
+    res = certified_odd_good(z, s, r)
+    cv = cross_validate(signature, r, t)
+    assert cv.oracle_exponent == (0 if ref.base_defined else 2)
+    assert res.base_defined == cv.pipeline.base_defined == ref.base_defined
+    assert res.field_of_definition == ref.field_of_definition
+    assert (res.model.Q, res.model.P) == (ref.model.Q, ref.model.P)
+    assert (res.fiber.field, res.fiber.eq) == (ref.fiber.field, ref.fiber.eq)
+    assert (res.fiber_kind, res.node_count, res.points) == (
+        ref.fiber_kind, ref.node_count, ref.points)
+    assert (res.disc, res.disc_val) == (ref.disc, ref.disc_val)
+    assert cv.witness.encode() == res.witness.encode() == ref.witness.encode()
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 11, 13, 17, 19])
+def test_certificate_path_equals_the_chain_on_the_table(r):
+    rows = [row for row in generate_table([r], with_oracle=False)
+            if row["signature"] in ODD_FAMILY and row["exponent"] != NOT_COVERED]
+    assert {row["signature"] for row in rows} == set(ODD_FAMILY)
+    for row in rows:
+        _assert_certificate_path_is_the_chain(row["signature"], r, F(row["t"]))
+
+
+@pytest.mark.parametrize("source,r", GRID)
+def test_certificate_path_equals_the_chain_on_the_grid(source, r):
+    signature = {"C_minus": "ppr-odd", "H_rr": "rrp", "H_2r": "2rp"}[source]
+    for t, _, _ in _grid_params(source, r):
+        _assert_certificate_path_is_the_chain(signature, r, t)
+
+
+def test_broken_fiber_check_refuses_the_certificate(monkeypatch, capsys):
+    """One (zeta, A) class given a node: the certificate refuses, the CLI
+    exits 4, and the refusal is not cached."""
+    real = pipelines_mod.singular_points
+
+    def node_at_class_1_1(fib, *args):
+        if fib.P.coeff(0) == 1 and fib.P.coeff(1) == 1:  # r = 3: X^3 + X + 1
+            return [PointReport("affine", GF2, 0, 1, NODE)]
+        return real(fib, *args)
+
+    odd_good_certificate.cache_clear()
+    monkeypatch.setattr(pipelines_mod, "singular_points", node_at_class_1_1)
+    refused = r"smooth special fiber at \(zeta, A\) = \(1, 1\)"
+    with pytest.raises(PipelineAssertionFailed, match=refused):
+        cross_validate("ppr-odd", 3, F(1, 16))
+    argv = ["classify", "--signature", "ppr-odd", "--r", "3", "--t", "1/16", "--oracle-check"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ASSERTION
+    err = capsys.readouterr().err
+    assert err.startswith("assertion failure:") and err.count("\n") == 1
+    assert odd_good_certificate.cache_info().currsize == 0
+
+    monkeypatch.undo()
+    before = odd_good_certificate.cache_info()
+    cv = cross_validate("ppr-odd", 3, F(1, 16))
+    after = odd_good_certificate.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+    assert cv.pipeline.fiber_kind == "smooth" and after.currsize == 1
+    cross_validate("rrp", 3, 16)
+    assert odd_good_certificate.cache_info().hits == after.hits + 1

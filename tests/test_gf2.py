@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -177,6 +178,82 @@ def test_table_arithmetic_gf2_16_samples():
             assert F.pow(a, F.order - 1) == 1
     for a in (0, 1, 2, F.order - 1):
         assert F.mul(a, F.mul(a, a)) == F.pow(a, 3)
+
+
+@pytest.mark.parametrize("k", range(9, 16))
+def test_table_arithmetic_samples(k):
+    F = gf2k(k)
+    rng = random.Random(k)
+    pairs = [(a, b) for a in (0, 1, 2, F._exp[1], F.order - 1) for b in (0, 1, F.order - 1)]
+    pairs += [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(1000)]
+    for a, b in pairs:
+        assert F.mul(a, b) == clmul_mod(a, b, F.modulus, k)
+        s = F.sqrt(a)
+        assert clmul_mod(s, s, F.modulus, k) == a
+        if a:
+            assert clmul_mod(a, F.inv(a), F.modulus, k) == 1
+            assert F.pow(a, F.order - 1) == 1
+
+
+def _tables_one_product_per_power(k, modulus):
+    """Reference (exp, log) tables: the smallest g of order 2^k - 1 (g is
+    a generator iff g^(order/p) != 1 for every prime p | order), then one
+    carry-less product per power."""
+    order = (1 << k) - 1
+    primes, n, d = [], order, 2
+    while n > 1:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+
+    def power(a, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = clmul_mod(acc, a, modulus, k)
+            a = clmul_mod(a, a, modulus, k)
+            e >>= 1
+        return acc
+
+    gen = next((g for g in range(2, order + 1) if all(power(g, order // p) != 1 for p in primes)), 1)
+    exp, log = [1] * (2 * order), [0] * (1 << k)
+    v = 1
+    for i in range(order):
+        exp[i] = exp[i + order] = v
+        log[v] = i
+        v = clmul_mod(v, gen, modulus, k)
+    return exp, log
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_tables_match_one_product_per_power(k):
+    F = gf2k(k)
+    order = F.order - 1
+    exp, log = _tables_one_product_per_power(k, F.modulus)
+    assert F._exp == exp
+    assert F._log == log
+    assert all(F._log[F._exp[i]] == i for i in range(order))
+    # exp[1] is the smallest generator: a smaller g has log g sharing a factor with the order
+    assert all(math.gcd(F._log[g], order) > 1 for g in range(2, F._exp[1]))
+
+
+def test_table_build_is_not_one_product_per_power(monkeypatch):
+    """Building GF(2^16) takes 872 carry-less products (the generator
+    search, the first 256 powers and two half tables of 256), not one for
+    each of its 65,535 powers."""
+    calls = 0
+    clmul = gf2._clmul_mod
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return clmul(*args)
+
+    monkeypatch.setattr(gf2, "_clmul_mod", counting)
+    gf2.GF2k(16)
+    assert 0 < calls <= 2048
 
 
 @st.composite

@@ -34,7 +34,6 @@ from .localfield import (
     FormalParam,
     LaurentRing,
     TameField,
-    WeightInterval,
     laurent_residue,
     laurent_val,
     normalize_twist,

@@ -91,7 +91,6 @@ class ConductorReport:
     inertial_type: str | None
     source: str
     mode: str
-    oracle: dict | None = None
 
     def covered(self) -> bool:
         return self.exponent != NOT_COVERED
@@ -176,14 +175,8 @@ CASES = {
 SIGNATURES = tuple(CASES)
 
 
-def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED,
-             p=None) -> ConductorReport:
-    """Conductor exponent at the prime above 2, up to quadratic twist.
-
-    `p` (the residual characteristic of the representation) is accepted as
-    metadata and ignored: every covered exponent is independent of it.
-    """
-    del p
+def classify(signature: str, r: int | None, t, mode: str = TABLE_AS_PRINTED) -> ConductorReport:
+    """Conductor exponent at the prime above 2, up to quadratic twist."""
     if mode not in (TABLE_AS_PRINTED, ORACLE_CORRECTED):
         raise ValueError(f"unknown mode {mode!r}")
     r, t = _validate(signature, r, t)

@@ -30,7 +30,7 @@ class NonIntegral(NonIntegralCoefficient):
 
 
 class ValuationAmbiguous(Frey2Error, ArithmeticError):
-    """Two terms tie for the minimal valuation somewhere in the weight interval."""
+    """Two terms tie for the minimal valuation at some weight >= the least weight."""
 
 
 class DegreeViolation(Frey2Error, ValueError):

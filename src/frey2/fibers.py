@@ -125,13 +125,13 @@ def splitting_field(F: SpecialFiber) -> GF2k:
     return gf2.gf2k(m)
 
 
-def singular_points(F: SpecialFiber, field: GF2k | None = None) -> list[PointReport]:
+def singular_points(F: SpecialFiber) -> list[PointReport]:
     """All singular points over the splitting field, both charts, classified.
 
     Chart-2 points with u != 0 are glued to chart-1 points and therefore
     reported once, on the affine chart.
     """
-    big = field or splitting_field(F)
+    big = splitting_field(F)
     out = []
     for patch, Q, P in F.patches():
         ring = PolyRing(big, Q.ring.var)

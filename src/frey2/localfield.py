@@ -13,13 +13,14 @@ the pipelines execute:
   common case and is inverted directly, without a gcd.
 
 * ``LaurentRing(param)``: Laurent polynomials in one formal parameter u.
-  For a positive-valuation parameter, v(u) = w is only known to lie in a
-  declared interval; each term contributes the affine form v2(c) + i*w,
-  and the element's valuation is the minimal form provided one term's
-  form stays strictly minimal across the whole interval (checked at both
-  endpoints, which suffices for affine functions).  Ties anywhere raise
-  ValuationAmbiguous rather than guessing.  For a unit parameter the
-  forms are constants and a declared residue class drives reduction.
+  For a positive-valuation parameter, v(u) = w is only known to be at
+  least a declared least weight w0 > 0; each term contributes the affine
+  form v2(c) + i*w, and the element's valuation is the minimal form
+  provided one term's form stays strictly minimal for every w >= w0
+  (checked at w0 and on the slopes, which suffices for affine functions
+  on [w0, oo)).  Ties anywhere raise ValuationAmbiguous rather than
+  guessing.  For a unit parameter the forms are constants and a declared
+  residue class drives reduction.
 
 All valuations are Fractions normalized to v(2) = 1.
 """
@@ -162,56 +163,32 @@ class TameField(Domain):
 
 
 @dataclass(frozen=True)
-class WeightInterval:
-    """Rational interval for the weight w = v(u) of a formal parameter."""
-
-    lo: Fraction
-    hi: Fraction | None  # None means +infinity
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def __post_init__(self):
-        if self.lo < 0 or (self.lo == 0 and not self.lo_open):
-            raise ValueError("positive-valuation weights need lo > 0 or open at 0")
-        if self.hi is not None and self.hi < self.lo:
-            raise ValueError("empty interval")
-
-    @staticmethod
-    def point(w) -> "WeightInterval":
-        w = Fraction(w)
-        return WeightInterval(w, w)
-
-    @staticmethod
-    def at_least(lo) -> "WeightInterval":
-        return WeightInterval(Fraction(lo), None)
-
-
-@dataclass(frozen=True)
 class FormalParam:
-    """Formal parameter: either positive valuation in an interval, or a unit.
+    """Formal parameter: either positive valuation at least `least`, or a unit.
 
-    A unit parameter carries its residue class in a binary field.
+    A positive parameter reduces to 0 in GF(2); a unit parameter carries its
+    residue class in a binary field.
     """
 
     name: str
     kind: str  # 'positive' | 'unit'
-    interval: WeightInterval | None = None
-    residue_field: GF2k | None = None
+    least: Fraction | None = None
+    residue_field: GF2k = GF2
     residue: int | None = None
 
     def __post_init__(self):
         if self.kind == "positive":
-            if self.interval is None:
-                raise ValueError("positive-valuation parameter needs an interval")
+            if self.least is None or self.least <= 0:
+                raise ValueError("positive-valuation parameter needs a least weight > 0")
         elif self.kind == "unit":
-            if self.residue_field is None or not self.residue:
+            if not self.residue:
                 raise ValueError("unit parameter needs a nonzero residue class")
         else:
             raise ValueError(f"unknown parameter kind {self.kind!r}")
 
     @staticmethod
-    def positive(name, interval) -> "FormalParam":
-        return FormalParam(name, "positive", interval=interval)
+    def positive(name, least) -> "FormalParam":
+        return FormalParam(name, "positive", least=Fraction(least))
 
     @staticmethod
     def unit(name, residue=1, field: GF2k = GF2) -> "FormalParam":
@@ -244,41 +221,18 @@ class AffineVal:
         return f"{self.const} + {self.slope}*w"
 
 
-def _strictly_below(f: AffineVal, g: AffineVal, itv: WeightInterval) -> bool:
-    """f(w) < g(w) for every attainable w in the interval (affine test)."""
-    if f == g:
-        return False
-    if itv.hi is not None and itv.lo == itv.hi:
-        return f.at(itv.lo) < g.at(itv.lo)
-    flo, glo = f.at(itv.lo), g.at(itv.lo)
-    if flo > glo or (flo == glo and not itv.lo_open):
-        return False
-    if itv.hi is None:
-        # toward infinity, slopes dominate
-        return (f.slope, f.const) < (g.slope, g.const)
-    fhi, ghi = f.at(itv.hi), g.at(itv.hi)
-    if fhi > ghi or (fhi == ghi and not itv.hi_open):
-        return False
-    return True
+def _strictly_below(f: AffineVal, g: AffineVal, least: Fraction) -> bool:
+    """f(w) < g(w) for every w >= least (affine test)."""
+    return f.at(least) < g.at(least) and f.slope <= g.slope
 
 
-def _nonnegative_throughout(f: AffineVal, itv: WeightInterval) -> bool:
-    if f.at(itv.lo) < 0:
-        return False
-    if itv.hi is None:
-        return f.slope >= 0
-    return f.at(itv.hi) >= 0
+def _nonnegative_throughout(f: AffineVal, least: Fraction) -> bool:
+    return f.at(least) >= 0 and f.slope >= 0
 
 
-def _strictly_positive_attained(f: AffineVal, itv: WeightInterval) -> bool:
-    """f(w) > 0 at every attainable w (open endpoints are not attained)."""
-    flo = f.at(itv.lo)
-    if flo < 0 or (flo == 0 and not itv.lo_open):
-        return False
-    if itv.hi is None:
-        return f.slope > 0 or (f.slope == 0 and f.const > 0)
-    fhi = f.at(itv.hi)
-    return fhi > 0 or (fhi == 0 and itv.hi_open)
+def _strictly_positive_attained(f: AffineVal, least: Fraction) -> bool:
+    """f(w) > 0 at every w >= least."""
+    return f.at(least) > 0 and f.slope >= 0
 
 
 class Laurent:
@@ -408,9 +362,10 @@ def _dense(a: Laurent, shift: int):
 def laurent_val(a: Laurent) -> AffineVal:
     """Valuation of a Laurent element as an affine form in the weight.
 
-    The form of one term must stay strictly minimal over the whole declared
-    interval; otherwise ValuationAmbiguous is raised and the caller must
-    refine the interval or restructure the computation.
+    The form of one term must stay strictly minimal at every weight from
+    the declared least weight on; otherwise ValuationAmbiguous is raised
+    and the caller must raise the least weight or restructure the
+    computation.
     """
     if a.is_zero():
         raise ZeroElement("valuation of 0")
@@ -423,29 +378,28 @@ def laurent_val(a: Laurent) -> AffineVal:
                 f"unit-parameter terms tie at valuation {best.const}"
             )
         return best
-    itv = param.interval
+    least = param.least
     forms = [AffineVal(v2(c), e) for e, c in a.terms]
-    best = min(forms, key=lambda f: (f.at(itv.lo), f.slope))
+    best = min(forms, key=lambda f: (f.at(least), f.slope))
     for f in forms:
         if f is best:
             continue
-        if not _strictly_below(best, f, itv):
+        if not _strictly_below(best, f, least):
             raise ValuationAmbiguous(
-                f"terms {best!r} and {f!r} tie somewhere in the weight interval"
+                f"terms {best!r} and {f!r} tie at some weight >= {least}"
             )
     return best
 
 
 def laurent_integral(a: Laurent) -> bool:
-    """Every term valuation >= 0 across the whole declared interval."""
+    """Every term valuation >= 0 at every weight from the least weight on."""
     param = a.ring.param
     if a.is_zero():
         return True
     if param.kind == "unit":
         return all(v2(c) >= 0 for _, c in a.terms)
-    itv = param.interval
     return all(
-        _nonnegative_throughout(AffineVal(v2(c), e), itv) for e, c in a.terms
+        _nonnegative_throughout(AffineVal(v2(c), e), param.least) for e, c in a.terms
     )
 
 
@@ -461,16 +415,16 @@ def laurent_residue(a: Laurent):
     if not laurent_integral(a):
         raise NonIntegral(f"{a!r} has a term of negative valuation")
     if param.kind == "positive":
-        itv = param.interval
         out = 0
         for e, c in a.terms:
             if e == 0:
                 out = rational_residue_bit(c)
-            elif not _strictly_positive_attained(AffineVal(v2(c), e), itv):
+            elif not _strictly_positive_attained(AffineVal(v2(c), e), param.least):
                 # the term can reach valuation 0 at an attainable weight,
-                # so the residue is not uniform over the interval
+                # so the residue is not uniform in the weight
                 raise ValuationAmbiguous(
-                    f"term of exponent {e} can reach valuation 0 in the interval"
+                    f"term of exponent {e} can reach valuation 0 at some weight "
+                    f">= {param.least}"
                 )
         return out
     field = param.residue_field

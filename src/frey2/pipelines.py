@@ -5,9 +5,9 @@ coefficient domain, applies the appropriate substitution chain through
 `curves.apply_change` (which tracks the exact discriminant factor), and
 then *asserts* the claimed conclusions: the final model matches its
 expected display termwise, is integral, has the stated discriminant
-valuation (identically across the declared weight interval in the formal
-cases), and has the stated special-fiber type.  A violated claim raises
-PipelineAssertionFailed rather than producing a report.
+valuation (identically at every weight from the declared least weight on
+in the formal cases), and has the stated special-fiber type.  A violated
+claim raises PipelineAssertionFailed rather than producing a report.
 
 The final model's discriminant is factor * Delta(E0) by the
 transformation law (Lockhart, Trans. AMS 342, 1994), with Delta(E0) the
@@ -54,7 +54,6 @@ from .localfield import (
     FormalParam,
     LaurentRing,
     TameField,
-    WeightInterval,
     laurent_integral,
     laurent_residue,
     laurent_substitute,
@@ -109,8 +108,7 @@ def _fiber(E: HyperEq, fld, residue) -> SpecialFiber:
 
 
 def _laurent_fiber(E: HyperEq) -> SpecialFiber:
-    param = E.base.param  # the LaurentRing's formal parameter
-    return _fiber(E, GF2 if param.kind == "positive" else param.residue_field, laurent_residue)
+    return _fiber(E, E.base.param.residue_field, laurent_residue)
 
 
 def _split_factor_polys(r: int):
@@ -122,7 +120,7 @@ def _split_factor_polys(r: int):
     return h_neg, h, (x + 2) * h_neg, x * h
 
 
-def pipeline_ppr_even(case: str, r: int, interval: WeightInterval | None = None) -> PipelineResult:
+def pipeline_ppr_even(case: str, r: int) -> PipelineResult:
     """Even-degree signature (p,p,r): the three valuation cases."""
     check_odd_prime(r)
     if case not in PPR_EVEN_CASES:
@@ -132,19 +130,13 @@ def pipeline_ppr_even(case: str, r: int, interval: WeightInterval | None = None)
     notes = []
 
     if case == "v_neg":
-        itv = interval or WeightInterval.at_least(Fraction(1, r))
-        param = FormalParam.positive("u", itv)
-        ring = LaurentRing(param)
+        ring = LaurentRing(FormalParam.positive("u", Fraction(1, r)))
         t = ring.term(1, -r)  # t = u^(-r)
     elif case == "v_t_pos":
-        itv = interval or WeightInterval.at_least(1)
-        param = FormalParam.positive("t", itv)
-        ring = LaurentRing(param)
+        ring = LaurentRing(FormalParam.positive("t", 1))
         t = ring.gen
     else:
-        itv = interval or WeightInterval.at_least(1)
-        param = FormalParam.positive("s1", itv)  # s1 = 1 - t
-        ring = LaurentRing(param)
+        ring = LaurentRing(FormalParam.positive("s1", 1))  # s1 = 1 - t
         t = ring.sub(ring.one, ring.gen)
 
     Rx = PolyRing(ring, "x")
@@ -224,7 +216,7 @@ def pipeline_ppr_even(case: str, r: int, interval: WeightInterval | None = None)
     )
 
 
-def pipeline_35p(case: str, interval: WeightInterval | None = None) -> PipelineResult:
+def pipeline_35p(case: str) -> PipelineResult:
     """Signature (3,5,p): good reduction over degree-3/degree-5 tame charts,
     toric reduction in the negative-valuation case."""
     if case not in P35_CASES:
@@ -234,25 +226,19 @@ def pipeline_35p(case: str, interval: WeightInterval | None = None) -> PipelineR
     notes = []
 
     if case == "v_t_pos":
-        itv = interval or WeightInterval.at_least(Fraction(1, 3))
-        param = FormalParam.positive("u", itv)
-        ring = LaurentRing(param)
+        ring = LaurentRing(FormalParam.positive("u", Fraction(1, 3)))
         t = ring.term(1, 3)  # t = u^3
         a_scale, e_scale = ring.gen, ring.pow(ring.gen, 3)
         expected_disc_val = AffineVal(Fraction(0), 0)
         expected_fiber = ("smooth", 0)
     elif case == "v_1mt_pos":
-        itv = interval or WeightInterval.at_least(Fraction(1, 5))
-        param = FormalParam.positive("u", itv)
-        ring = LaurentRing(param)
+        ring = LaurentRing(FormalParam.positive("u", Fraction(1, 5)))
         t = ring.sub(ring.one, ring.term(1, 5))  # t = 1 - u^5
         a_scale, e_scale = ring.pow(ring.gen, 3), ring.pow(ring.gen, 9)
         expected_disc_val = AffineVal(Fraction(0), 0)
         expected_fiber = ("smooth", 0)
     else:
-        itv = interval or WeightInterval.at_least(1)
-        param = FormalParam.positive("tau", itv)  # tau = 1/t
-        ring = LaurentRing(param)
+        ring = LaurentRing(FormalParam.positive("tau", 1))  # tau = 1/t
         t = ring.term(1, -1)
         a_scale, e_scale = None, ring.one
         expected_disc_val = AffineVal(Fraction(0), 2)
@@ -521,7 +507,7 @@ def odd_good_certificate(r: int) -> OddGoodCertificate:
 
     # Q[rho^+-1][A][zeta]; rho's declared weight is never read, since the
     # identity is one of Laurent polynomials in rho and so holds at every rho
-    lring = LaurentRing(FormalParam.positive("rho", WeightInterval.at_least(1)))
+    lring = LaurentRing(FormalParam.positive("rho", 1))
     aring = PolyRing(lring, "A")
     dom = PolyRing(aring, "zeta")
     Rx = PolyRing(dom, "x")

@@ -72,7 +72,7 @@ def report_json(rep: ConductorReport) -> dict:
         "conductor_exponent": rep.exponent,
         "inertial_type": rep.inertial_type,
         "source": rep.source,
-        "oracle": rep.oracle,
+        "oracle": None,  # filled by `classify --oracle-check`
     }
 
 

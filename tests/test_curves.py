@@ -14,7 +14,7 @@ from frey2.curves import (
 )
 from frey2.errors import DegreeViolation, SingularChange
 from frey2.families import C_ZS, build_curve, darmon_f, omega_min_poly
-from frey2.localfield import FormalParam, Laurent, LaurentRing, TameField, WeightInterval
+from frey2.localfield import FormalParam, Laurent, LaurentRing, TameField
 
 R = PolyRing(QQ, "x")
 x = R.gen
@@ -278,7 +278,7 @@ def test_apply_change_matches_cubic_reference(domain, data):
     assert (res.equation.Q, res.equation.P, res.factor) == _reference_change(E, M)
 
 
-LAURENT = LaurentRing(FormalParam.positive("u", WeightInterval.at_least(1)))
+LAURENT = LaurentRing(FormalParam.positive("u", 1))
 
 
 @settings(max_examples=30, deadline=None)

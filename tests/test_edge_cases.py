@@ -1,5 +1,5 @@
 """Contract edge cases: exit codes on real failures, chart-2 singular points,
-custom weight intervals, and input validation."""
+and input validation."""
 
 from fractions import Fraction as F
 
@@ -18,13 +18,7 @@ from frey2.fibers import (
     singular_points,
 )
 from frey2.gf2 import GF2, GF2k
-from frey2.localfield import (
-    AffineVal,
-    FormalParam,
-    WeightInterval,
-    laurent_val,
-)
-from frey2.pipelines import pipeline_ppr_even
+from frey2.localfield import FormalParam
 
 
 def test_verify_exit_flips_on_real_failure(monkeypatch, capsys):
@@ -62,21 +56,6 @@ def test_singular_point_at_infinity():
     assert brute_force_singular(fib, 1) == {("affine", 0, 0), (INFINITY, 0, 1)}
 
 
-def test_pipeline_accepts_point_interval():
-    # v2(t) = -r exactly: weight w = 1; conclusions still certified
-    res = pipeline_ppr_even("v_neg", 3, interval=WeightInterval.point(1))
-    assert res.fiber_kind == "smooth"
-    assert res.disc_val == AffineVal(F(0), 0)
-
-
-def test_pipeline_accepts_narrow_interval():
-    res = pipeline_ppr_even(
-        "v_t_pos", 3, interval=WeightInterval(F(2), F(9))
-    )
-    assert res.node_count == 2
-    assert res.disc_val == AffineVal(F(0), 3)
-
-
 def test_classify_rejects_unknown_mode_and_signature():
     with pytest.raises(ValueError):
         classify("ppr-even", 3, F(1, 8), mode="bogus")
@@ -84,19 +63,13 @@ def test_classify_rejects_unknown_mode_and_signature():
         classify("nope", 3, F(1, 8))
 
 
-def test_classify_ignores_p_metadata():
-    a = classify("ppr-even", 3, F(1, 8))
-    b = classify("ppr-even", 3, F(1, 8), p=13)
-    assert a.exponent == b.exponent
-
-
 def test_weight_interval_validation():
     with pytest.raises(ValueError):
-        WeightInterval(F(0), F(1))  # closed at 0 is not a positive weight
+        FormalParam.positive("u", 0)  # a least weight of 0 is not positive
     with pytest.raises(ValueError):
-        WeightInterval(F(2), F(1))  # empty
+        FormalParam.positive("u", F(-1, 3))
     with pytest.raises(ValueError):
-        FormalParam.positive("u", None)
+        FormalParam("u", "positive")  # no least weight
     with pytest.raises(ValueError):
         FormalParam.unit("u", residue=0)
 
@@ -116,14 +89,3 @@ def test_field_size_caps():
     fib = SpecialFiber(GF2, quintic * sextic, Poly(R, (0, 0, 1)), 10)
     with pytest.raises(FieldTooLarge):
         singular_points(fib)
-
-
-def test_laurent_val_open_interval_endpoint_tie():
-    # at the open right endpoint the forms tie, but strictly inside the
-    # winner is unique, so the valuation is still well-defined
-    param = FormalParam.positive("u", WeightInterval(F(0), F(1), True, True))
-    from frey2.localfield import LaurentRing
-
-    ring = LaurentRing(param)
-    elt = ring.add(ring.term(2), ring.term(1, 1))  # 2 + u
-    assert laurent_val(elt) == AffineVal(F(0), 1)

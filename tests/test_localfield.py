@@ -14,9 +14,12 @@ from frey2.errors import (
 from frey2.localfield import (
     AffineVal,
     FormalParam,
+    Laurent,
     LaurentRing,
     TameField,
-    WeightInterval,
+    _nonnegative_throughout,
+    _strictly_below,
+    _strictly_positive_attained,
     laurent_integral,
     laurent_residue,
     laurent_substitute,
@@ -165,27 +168,25 @@ def test_tame_residue():
 
 
 def test_laurent_val_examples():
-    Ru = LaurentRing(FormalParam.positive("u", WeightInterval(F(0), None, lo_open=True)))
+    Ru = LaurentRing(FormalParam.positive("u", F(1, 7)))
     assert laurent_val(Ru.add(Ru.term(-1), Ru.term(1, 3))) == AffineVal(F(0), 0)
+    # 2/u + 4: the falling form 1 - w stays below 2 for every weight
+    assert laurent_val(Ru.add(Ru.term(2, -1), Ru.term(4))) == AffineVal(F(1), -1)
 
-    R01 = LaurentRing(
-        FormalParam.positive("u", WeightInterval(F(0), F(1), True, True))
-    )
-    assert laurent_val(R01.add(R01.term(2, 1), R01.term(4))) == AffineVal(F(1), 1)
-
-    Rpt = LaurentRing(FormalParam.positive("u", WeightInterval.point(F(1, 3))))
+    # 4 + 2u^3: the forms 2 and 1 + 3w tie at the least weight 1/3
+    R3 = LaurentRing(FormalParam.positive("u", F(1, 3)))
     with pytest.raises(ValuationAmbiguous):
-        laurent_val(Rpt.add(Rpt.term(4), Rpt.term(2, 3)))
+        laurent_val(R3.add(R3.term(4), R3.term(2, 3)))
 
 
 def test_laurent_val_zero_raises():
-    Ru = LaurentRing(FormalParam.positive("u", WeightInterval.at_least(1)))
+    Ru = LaurentRing(FormalParam.positive("u", 1))
     with pytest.raises(ZeroElement):
         laurent_val(Ru.zero)
 
 
 def test_laurent_residue_examples():
-    Ru = LaurentRing(FormalParam.positive("u", WeightInterval(F(0), None, lo_open=True)))
+    Ru = LaurentRing(FormalParam.positive("u", F(1, 7)))
     sq = Ru.mul(Ru.add(Ru.term(-1), Ru.term(1, 3)), Ru.add(Ru.term(-1), Ru.term(1, 3)))
     assert laurent_residue(sq) == 1
 
@@ -193,16 +194,15 @@ def test_laurent_residue_examples():
     assert laurent_residue(Run.term(1, 2)) == 1
     assert laurent_residue(Run.add(Run.term(3, 3), Run.term(2, 1))) == 1
 
-    R01 = LaurentRing(
-        FormalParam.positive("u", WeightInterval(F(0), F(1), True, True))
-    )
+    # u/2 has valuation w - 1 < 0 at the least weight 1/3
+    R3 = LaurentRing(FormalParam.positive("u", F(1, 3)))
     with pytest.raises(NonIntegral):
-        laurent_residue(R01.term(F(1, 2), 1))
+        laurent_residue(R3.term(F(1, 2), 1))
 
 
 def test_laurent_residue_refuses_nonuniform():
-    # u/2 with w in [1, inf): integral, but valuation 0 is attained at w = 1
-    R = LaurentRing(FormalParam.positive("u", WeightInterval.at_least(1)))
+    # u/2 with least weight 1: integral, but valuation 0 is attained at w = 1
+    R = LaurentRing(FormalParam.positive("u", 1))
     elt = R.term(F(1, 2), 1)
     assert laurent_integral(elt)
     with pytest.raises(ValuationAmbiguous):
@@ -210,7 +210,7 @@ def test_laurent_residue_refuses_nonuniform():
 
 
 def test_laurent_exact_div():
-    R = LaurentRing(FormalParam.positive("u", WeightInterval.at_least(1)))
+    R = LaurentRing(FormalParam.positive("u", 1))
     u = R.gen
     a = R.mul(R.add(u, R.one), R.term(3, -2))
     q = R.exact_div(a, R.add(u, R.one))
@@ -218,7 +218,7 @@ def test_laurent_exact_div():
 
 
 def test_laurent_substitute():
-    src = LaurentRing(FormalParam.positive("tau", WeightInterval.at_least(1)))
+    src = LaurentRing(FormalParam.positive("tau", 1))
     dst = LaurentRing(FormalParam.unit("w", residue=1))
     # tau - 1 under tau -> w + 1 becomes w
     elt = src.add(src.gen, src.term(-1))
@@ -230,6 +230,89 @@ def test_unit_param_tie_is_ambiguous():
     Run = LaurentRing(FormalParam.unit("u", residue=1))
     with pytest.raises(ValuationAmbiguous):
         laurent_val(Run.add(Run.gen, Run.term(-1)))  # u - 1: residues cancel
+
+
+# --- least weights against evaluation of the term forms ----------------------
+#
+# On [least, oo) an affine inequality holds throughout iff it holds at
+# `least` and at one weight beyond every crossing point: between the two the
+# forms are affine, and past the last crossing no order or sign changes.
+
+LEAST_WEIGHTS = (F(1, 5), F(1, 3), F(1, 7), F(1))
+
+
+def _beyond(forms, least):
+    """A weight above `least` and above every crossing of two forms or of a
+    form with 0."""
+    cuts = [least]
+    pairs = [(f, g) for i, f in enumerate(forms) for g in forms[i + 1:]]
+    pairs += [(f, AffineVal(F(0))) for f in forms]
+    for f, g in pairs:
+        if f.slope != g.slope:
+            cuts.append((g.const - f.const) / (f.slope - g.slope))
+    return max(cuts) + 1
+
+
+affine_forms = st.builds(
+    AffineVal,
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_forms, affine_forms, st.sampled_from(LEAST_WEIGHTS))
+def test_least_weight_predicates_match_evaluation(f, g, least):
+    ws = (least, _beyond([f, g], least))
+    assert _strictly_below(f, g, least) == all(f.at(w) < g.at(w) for w in ws)
+    assert _nonnegative_throughout(f, least) == all(f.at(w) >= 0 for w in ws)
+    assert _strictly_positive_attained(f, least) == all(f.at(w) > 0 for w in ws)
+
+
+coefficients = st.builds(
+    lambda sign, odd, k: sign * odd * F(2) ** k,
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, 3, 5, 7]),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=-3, max_value=4), coefficients,
+                    min_size=1, max_size=4),
+    st.sampled_from(LEAST_WEIGHTS),
+)
+def test_laurent_least_weight_verdicts_match_evaluation(terms, least):
+    R = LaurentRing(FormalParam.positive("u", least))
+    a = Laurent(R, terms)
+    forms = {e: AffineVal(v2(c), e) for e, c in a.terms}
+    ws = (least, _beyond(list(forms.values()), least))
+
+    # valuation: one term strictly below all others at both weights
+    winners = set()
+    for w in ws:
+        low = min(f.at(w) for f in forms.values())
+        winners |= {e for e, f in forms.items() if f.at(w) == low}
+    if len(winners) == 1:
+        assert laurent_val(a) == forms[winners.pop()]
+    else:
+        with pytest.raises(ValuationAmbiguous):
+            laurent_val(a)
+
+    integral = all(f.at(w) >= 0 for f in forms.values() for w in ws)
+    assert laurent_integral(a) == integral
+
+    # residue: the constant term mod 2, once every other term is positive
+    if not integral:
+        with pytest.raises(NonIntegral):
+            laurent_residue(a)
+    elif any(f.at(w) <= 0 for e, f in forms.items() if e != 0 for w in ws):
+        with pytest.raises(ValuationAmbiguous):
+            laurent_residue(a)
+    else:
+        const = dict(a.terms).get(0, F(0))
+        assert laurent_residue(a) == (1 if const and v2(const) == 0 else 0)
 
 
 # --- twist normalization ------------------------------------------------------

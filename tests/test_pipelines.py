@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import frey2.algebra as algebra_mod
 import frey2.families as families_mod
 import frey2.pipelines as pipelines_mod
+from frey2 import serialize
 from frey2.algebra import QQ, PolyRing, v2
 from frey2.classify import NOT_COVERED, ODD_FAMILY, cross_validate
 from frey2.cli import EXIT_ASSERTION, generate_table, main
@@ -24,6 +26,19 @@ from frey2.pipelines import (
     pipeline_odd_good_reduction,
     pipeline_ppr_even,
 )
+
+
+# sha256 of the canonical JSON of every even-degree pipeline below, joined
+# by newlines; any change to a certified model, valuation or fiber shows here
+EVEN_PIPELINES_SHA256 = "eefa4fa9986c0aff9f1fe676abb6e7934850d0b453ef5e1d9168c459082a2cc0"
+
+
+def test_even_pipelines_digest():
+    results = [pipeline_ppr_even(case, r)
+               for r in (3, 5, 7, 11, 13, 17, 19) for case in PPR_EVEN_CASES]
+    results += [pipeline_35p(case) for case in P35_CASES]
+    text = "\n".join(serialize.dumps(serialize.pipeline_json(res)) for res in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == EVEN_PIPELINES_SHA256
 
 
 @pytest.mark.parametrize("r", [3, 5, 7])

@@ -27,7 +27,7 @@ from .families import (
     verify_closed_form_disc,
     verify_identities,
 )
-from .fibers import SpecialFiber, classify_point, fiber_kind, fiber_type, singular_points
+from .fibers import SpecialFiber, fiber_kind, fiber_type, singular_points
 from .gf2 import GF2, GF2k, gf2k, roots_in_gf2k
 from .localfield import (
     AffineVal,

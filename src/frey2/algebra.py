@@ -44,19 +44,22 @@ from .errors import (
 
 def v2(q) -> int:
     """Exact 2-adic valuation of a nonzero int or Fraction."""
-    if q == 0:
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    if not q:
         raise ZeroElement("v2(0) is undefined")
-    q = Fraction(q)
     n, d = q.numerator, q.denominator
     return ((n & -n).bit_length() - 1) - ((d & -d).bit_length() - 1)
 
 
 def rational_residue_bit(q) -> int:
     """Reduction of a 2-integral rational into GF(2), as 0 or 1."""
-    q = Fraction(q)
-    if q != 0 and v2(q) < 0:
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    # in lowest terms, v2(q) < 0 exactly when the denominator is even
+    if not q.denominator & 1:
         raise NonIntegralCoefficient(f"{q} has negative 2-adic valuation")
-    # denominator is odd, hence congruent to 1 mod 2
+    # the denominator is odd, hence congruent to 1 mod 2
     return q.numerator & 1
 
 

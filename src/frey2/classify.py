@@ -16,9 +16,15 @@ derives the ppr-odd congruence from the good-reduction construction
 instead (base-field model iff v2(s'^2) + 4 = 0 mod r with s = 2 - 4t,
 i.e. v2(t) = -4 mod r).  `cross_validate` runs both plus the matching
 reduction pipeline and reports conflicts without adjudicating them.  For
-ppr-odd, rrp and 2rp that is the odd-degree chain read off its per-r
-certificate (`pipelines.certified_odd_good`), not the concrete chain
-`pipeline_odd_good_reduction`, which only `frey2 reduce` runs.
+ppr-odd, rrp and 2rp that is the odd-degree chain's per-r certificate
+(`pipelines.odd_good_certificate`), which proves the row's model defined
+over Q_2 iff its zeta = z'/pi^(2v+4) is: the oracle exponent is 0 iff
+zeta passes `TameField(r).is_base`.  Oracle-mode `classify` reaches its
+exponent through the congruence `field_of_definition` instead, so a
+disagreement between the two is an internal contradiction.  The row's
+model and witness are built only when `CrossValidation.pipeline` or
+`.witness` is read; the concrete chain `pipeline_odd_good_reduction`
+runs only in `frey2 reduce`.
 
 Each signature's case split is stated once, in its `CASES` function,
 which `classify` and `cross_validate` both read.  The ppr-even/35p oracle
@@ -30,15 +36,15 @@ smooth on a case without a chart is an internal contradiction.
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import QQ, check_odd_prime, v2
 from .errors import DegenerateParameter, NotCovered, PipelineAssertionFailed
 from .families import C_MINUS, H_2R, H_RR, zs_params
 from .pipelines import (
     PipelineResult,
-    certified_odd_good,
     field_of_definition,
+    odd_good_certificate,
     pipeline_35p,
     pipeline_ppr_even,
 )
@@ -207,11 +213,17 @@ class CrossValidation:
     t: Fraction
     printed: ConductorReport
     oracle: ConductorReport
-    pipeline: PipelineResult | None
     oracle_exponent: int
     agree: bool
-    conflict: str | None = None
-    notes: list[str] = field(default_factory=list)
+    conflict: str | None
+    notes: list[str]
+    # builds the matching pipeline result; called at most once, by `pipeline`
+    build_pipeline: Callable[[], PipelineResult] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def pipeline(self) -> PipelineResult:
+        """The matching pipeline result, built on first read."""
+        return self.build_pipeline()
 
     @property
     def witness(self) -> str:
@@ -252,9 +264,12 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
     if signature in ODD_FAMILY:
         if not printed.covered():
             raise NotCovered(f"{signature} at t = {t}: no pipeline applies")
-        pipe = certified_odd_good(*zs_params(ODD_FAMILY[signature], r, QQ, t), r)
-        oracle_exp = 0 if pipe.base_defined else 2
-        why = ("good-reduction model is base-defined" if pipe.base_defined
+        z, s = zs_params(ODD_FAMILY[signature], r, QQ, t)
+        cert = odd_good_certificate(r)
+        base_defined = cert.base_defined(z, s)
+        build = functools.partial(cert.result, z, s)
+        oracle_exp = 0 if base_defined else 2
+        why = ("good-reduction model is base-defined" if base_defined
                else "good reduction only over the ramified degree-r extension")
         if oracle_rep.exponent != oracle_exp:
             raise PipelineAssertionFailed(
@@ -267,6 +282,7 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
         # the case's chart and unramified by the chart congruence
         case = CASES[signature](r, t)
         pipe = _even_pipeline(signature, case.key, r)
+        build = lambda: pipe  # already built, and shared by its case's rows
         if pipe.fiber_kind == "nodal":
             oracle_exp, why = 1, NODAL_NOTE
         elif pipe.fiber_kind == "smooth" and case.mod is not None:
@@ -291,9 +307,9 @@ def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
         t=t,
         printed=printed,
         oracle=oracle_rep,
-        pipeline=pipe,
         oracle_exponent=oracle_exp,
         agree=agree,
         conflict=conflict,
         notes=[why],
+        build_pipeline=build,
     )

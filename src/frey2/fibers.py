@@ -13,7 +13,7 @@ from math import lcm
 
 from .algebra import Poly, PolyRing
 from .curves import HyperEq, infinity_patch
-from .errors import FieldTooLarge, Frey2Error, PointNotOnCurve
+from .errors import FieldTooLarge, Frey2Error
 from . import gf2
 from .gf2 import GF2k, embed_poly, irreducible_factor_degrees
 
@@ -75,36 +75,6 @@ class PointReport:
     a: int
     b: int
     kind: str
-
-
-def _point_kind(field: GF2k, Q: Poly, P: Poly, a: int, b: int) -> str:
-    qa = Q.eval(a)
-    pa = P.eval(a)
-    lhs = field.add(field.mul(b, b), field.mul(b, qa))
-    if lhs != pa:
-        raise PointNotOnCurve(f"({a}, {b}) does not satisfy the equation")
-    qda = Q.derivative().eval(a)
-    pda = P.derivative().eval(a)
-    singular = qa == 0 and field.mul(pda, pda) == field.mul(field.mul(qda, qda), pa)
-    if not singular:
-        return SMOOTH
-    if qda != 0:
-        return NODE
-    return NON_SEMISTABLE
-
-
-def classify_point(F: SpecialFiber, patch: str, a: int, b: int, field: GF2k | None = None) -> str:
-    """Kind of a point on the given chart: smooth, node, or worse."""
-    field = field or F.field
-    for name, Q, P in F.patches():
-        if name != patch:
-            continue
-        if field != F.field:
-            ring = PolyRing(field, Q.ring.var)
-            Q = embed_poly(Q, F.field, ring)
-            P = embed_poly(P, F.field, ring)
-        return _point_kind(field, Q, P, a, b)
-    raise ValueError(f"unknown patch {patch!r}")
 
 
 def splitting_field(F: SpecialFiber) -> GF2k:

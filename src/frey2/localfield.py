@@ -240,15 +240,19 @@ class Laurent:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms):
-        # terms: mapping or iterable of (exponent, coefficient)
+    def __init__(self, ring, terms, normalized=False):
+        # terms: mapping or iterable of (exponent, coefficient); `normalized`
+        # promises Fraction coefficients, none zero, exponents increasing
+        self.ring = ring
+        if normalized:
+            self.terms = tuple(terms)
+            return
         acc: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for e, c in items:
             c = Fraction(c)
             if c:
                 acc[e] = acc.get(e, Fraction(0)) + c
-        self.ring = ring
         self.terms = tuple(sorted((e, c) for e, c in acc.items() if c))
 
     def is_zero(self):
@@ -292,7 +296,8 @@ class LaurentRing(Domain):
         self.gen = Laurent(self, ((1, Fraction(1)),))
 
     def term(self, coeff, exp=0) -> Laurent:
-        return Laurent(self, ((exp, Fraction(coeff)),))
+        c = Fraction(coeff)
+        return Laurent(self, ((exp, c),) if c else (), normalized=True)
 
     def from_rational(self, q) -> Laurent:
         return self.term(q)
@@ -300,19 +305,32 @@ class LaurentRing(Domain):
     def from_int(self, n):
         return self.term(n)
 
+    # The operands' terms are normalized, so the results below are built
+    # from merged terms without normalizing again.
+
     def add(self, a, b):
-        return Laurent(self, list(a.terms) + list(b.terms))
+        acc = dict(a.terms)
+        for e, c in b.terms:
+            x = acc.get(e)
+            acc[e] = c if x is None else x + c
+        return Laurent(self, sorted(ec for ec in acc.items() if ec[1]), normalized=True)
 
     def neg(self, a):
-        return Laurent(self, [(e, -c) for e, c in a.terms])
+        return Laurent(self, [(e, -c) for e, c in a.terms], normalized=True)
 
     def mul(self, a, b):
-        out: dict[int, Fraction] = {}
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        if len(b.terms) == 1:
+            eb, cb = b.terms[0]
+            return Laurent(self, [(e + eb, c * cb) for e, c in a.terms], normalized=True)
+        acc: dict[int, Fraction] = {}
         for ea, ca in a.terms:
             for eb, cb in b.terms:
                 e = ea + eb
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return Laurent(self, out)
+                x = acc.get(e)
+                acc[e] = ca * cb if x is None else x + ca * cb
+        return Laurent(self, sorted(ec for ec in acc.items() if ec[1]), normalized=True)
 
     def is_zero(self, a):
         return a.is_zero()
@@ -333,6 +351,9 @@ class LaurentRing(Domain):
             raise DivisionByZero("Laurent division by zero")
         if a.is_zero():
             return a
+        if len(b.terms) == 1:  # a monomial: shift the exponents, divide the coefficients
+            eb, cb = b.terms[0]
+            return Laurent(self, [(e - eb, c / cb) for e, c in a.terms], normalized=True)
         ea0 = a.terms[0][0]
         eb0 = b.terms[0][0]
         ring = PolyRing(QQ, self.param.name)

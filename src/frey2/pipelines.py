@@ -18,11 +18,15 @@ The even-degree (formal-parameter) cases prove their claims uniformly in
 v2(t) via Laurent models.  The odd-degree chain has two forms.
 `odd_good_certificate(r)` proves it once per r for every (z, s) of the
 hypothesis, with pi^((v+2)/2), the scaled z and the unit part of s as
-symbols; `certified_odd_good` reads one (z, s) off that certificate, and
-`cross_validate` (hence `frey2 table` and `classify --oracle-check`) uses
-it.  `pipeline_odd_good_reduction` runs the chain over the tame field
-Q(2^(1/r)) with concrete rational parameters; it serves `frey2 reduce
---pipeline odd-good` and is the test oracle of the certificate.
+symbols.  It also proves that the model is defined over Q_2 iff
+zeta = z'/pi^(2v+4) is, so `cross_validate` (hence `frey2 table` and
+`classify --oracle-check`) reads a row's exponent off the certificate and
+one tame-field value (`OddGoodCertificate.base_defined`).  The row's full
+result (`OddGoodCertificate.result`, or `certified_odd_good` for one
+(z, s)) is built only when read.  `pipeline_odd_good_reduction` runs the
+chain over the tame field Q(2^(1/r)) with concrete rational parameters; it
+serves `frey2 reduce --pipeline odd-good` and is the test oracle of the
+certificate.
 """
 
 from dataclasses import dataclass, field
@@ -472,6 +476,63 @@ class OddGoodCertificate:
     fibers: dict  # (zeta mod pi, A mod 2) -> CertifiedFiber
     disc_val: Fraction  # of the final model, the same at every (z, s)
 
+    def _chain_parameters(self, z, s):
+        """(L, zeta, delta, z', s', v) at (z, s): L = Q(2^(1/r)), the twist,
+        v = v2(s') and zeta = z'/pi^(2v+4) in L."""
+        r = self.r
+        z, s = _check_hypothesis(z, s, r)
+        delta, z1, s1 = normalize_twist(z, s, r)
+        v = v2(s1)
+        L = TameField(r)
+        return L, L.mul(L.from_rational(z1), L.pi_power(-(2 * v + 4))), delta, z1, s1, v
+
+    def base_defined(self, z, s) -> bool:
+        """Whether the certified model at (z, s) is defined over Q_2.
+
+        Its X^(r-2) coefficient is c_1 zeta with c_1 != 0 and every other
+        coefficient is an integer times a power of zeta or A, so this holds
+        iff zeta lies in the base field.
+        """
+        L, zeta, *_ = self._chain_parameters(z, s)
+        return L.is_base(zeta)
+
+    def result(self, z, s) -> PipelineResult:
+        """The odd-degree good-reduction result at (z, s), read off the certificate.
+
+        Same model, fiber, discriminant and base-field verdict as
+        `pipeline_odd_good_reduction(z, s, r)` without running its chain: the
+        certified closed model is instantiated at (zeta, A), its fiber is the
+        certified one of (zeta, A) mod pi, and its discriminant is the
+        certified factor rho^(-2r(r-1)) = 2^(-(v+2)(r-1)) times the closed
+        form at (z', s').
+        """
+        r = self.r
+        L, zeta, delta, z1, s1, v = self._chain_parameters(z, s)
+        Rx = PolyRing(L, "x")
+        A = (s1 / Fraction(2) ** v - 1) / 4
+        model = HyperEq(Rx.one, czs_polynomial(r, zeta, L.from_rational(A), Rx), (r - 1) // 2)
+        fib = self.fibers[L.residue_bit(zeta), rational_residue_bit(A)]
+        base_defined = L.is_base(zeta)
+        return PipelineResult(
+            label=f"odd-good/r={r}",
+            r=r,
+            model=model,
+            integral=True,
+            disc=L.from_rational(
+                certified_disc(C_ZS, r, QQ, (z1, s1)) / Fraction(2) ** ((v + 2) * (r - 1))
+            ),
+            disc_val=self.disc_val,
+            display_matches=True,
+            fiber=fib.fiber,
+            fiber_kind=fib.kind,
+            node_count=fib.nodes,
+            points=list(fib.points),
+            field_of_definition="base" if base_defined else "ramified-degree-r",
+            base_defined=base_defined,
+            notes=[f"certified for its congruence class by odd_good_certificate({r})",
+                   f"twist delta = {delta}, normalized (z', s') = ({z1}, {s1})"],
+        )
+
 
 @lru_cache(maxsize=None)
 def odd_good_certificate(r: int) -> OddGoodCertificate:
@@ -488,8 +549,11 @@ def odd_good_certificate(r: int) -> OddGoodCertificate:
       square is completed) and scales the discriminant by rho^(-2r(r-1));
     * the c_k are integers and c_1 = -r is odd; zeta has valuation
       (r v2(z') - 2v - 4)/r >= 0 by the hypothesis and A lies in Z_2, so
-      the model is integral, and since c_1 != 0 it is defined over Q_2 iff
-      zeta is, i.e. iff r | 2v + 4 (`field_of_definition`);
+      the model is integral;
+    * its X^(r-2) coefficient is c_1 zeta, so since c_1 != 0 the model is
+      defined over Q_2 iff zeta is, i.e. iff r | 2v + 4
+      (`OddGoodCertificate.base_defined`; `field_of_definition` is the
+      congruence);
     * its special fiber, which depends only on (zeta, A) mod pi, is smooth
       for each of the four classes;
     * its discriminant, the closed form at (zeta, S = (1 + 4A)/4), is
@@ -528,6 +592,9 @@ def odd_good_certificate(r: int) -> OddGoodCertificate:
     )
     _require(res.factor == dom.pow(rho, -2 * r * (r - 1)), label,
              "the change scales the discriminant by rho^(-2r(r-1))")
+    _require(cs[0] != 0 and res.equation.P.coeff(r - 2) == dom.mul(dom.from_int(cs[0]), zeta),
+             label, "the X^(r-2) coefficient is c_1 zeta with c_1 != 0, so the model "
+             "is defined over Q_2 iff zeta is")
 
     # the model has integer coefficients in (zeta, A), so its reduction is
     # that of the integer model at the residues 0 or 1
@@ -556,42 +623,7 @@ def odd_good_certificate(r: int) -> OddGoodCertificate:
 
 
 def certified_odd_good(z, s, r: int) -> PipelineResult:
-    """The odd-degree good-reduction result at (z, s), read off the certificate.
-
-    Same model, fiber, discriminant and base-field verdict as
-    `pipeline_odd_good_reduction(z, s, r)` without running its chain: the
-    twist is normalized, the certified closed model is instantiated at
-    (zeta, A), its fiber is the certified one of (zeta, A) mod pi, and its
-    discriminant is the certified factor rho^(-2r(r-1)) = 2^(-(v+2)(r-1))
-    times the closed form at (z', s').
-    """
+    """The odd-degree good-reduction result at (z, s), read off
+    `odd_good_certificate(r)` (see `OddGoodCertificate.result`)."""
     z, s = _check_hypothesis(z, s, r)
-    cert = odd_good_certificate(r)
-    delta, z1, s1 = normalize_twist(z, s, r)
-    L = TameField(r)
-    Rx = PolyRing(L, "x")
-    v = v2(s1)
-    zeta = L.mul(L.from_rational(z1), L.pi_power(-(2 * v + 4)))
-    A = (s1 / Fraction(2) ** v - 1) / 4
-    model = HyperEq(Rx.one, czs_polynomial(r, zeta, L.from_rational(A), Rx), (r - 1) // 2)
-    fib = cert.fibers[L.residue_bit(zeta), rational_residue_bit(A)]
-    base_defined = all(L.is_base(c) for c in model.Q.cs + model.P.cs)
-    return PipelineResult(
-        label=f"odd-good/r={r}",
-        r=r,
-        model=model,
-        integral=True,
-        disc=L.from_rational(
-            certified_disc(C_ZS, r, QQ, (z1, s1)) / Fraction(2) ** ((v + 2) * (r - 1))
-        ),
-        disc_val=cert.disc_val,
-        display_matches=True,
-        fiber=fib.fiber,
-        fiber_kind=fib.kind,
-        node_count=fib.nodes,
-        points=list(fib.points),
-        field_of_definition="base" if base_defined else "ramified-degree-r",
-        base_defined=base_defined,
-        notes=[f"certified for its congruence class by odd_good_certificate({r})",
-               f"twist delta = {delta}, normalized (z', s') = ({z1}, {s1})"],
-    )
+    return odd_good_certificate(r).result(z, s)

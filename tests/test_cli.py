@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frey2.classify as classify_mod
+import frey2.pipelines as pipelines_mod
 from frey2 import cli
 from frey2.cli import (
     EXIT_ASSERTION,
@@ -294,6 +295,38 @@ def test_json_matches_golden(tmp_path, name, argv):
     path = tmp_path / name
     assert main([*argv, "--format", "json", "--out", str(path)]) == EXIT_OK
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_table_builds_no_odd_row_model(monkeypatch, tmp_path):
+    """`table` reads each odd row off the certificate plus one tame-field
+    test; the row's model and witness are built only when read, by
+    `classify --oracle-check`, whose goldens stay byte-identical."""
+    built = []
+    real_result = pipelines_mod.OddGoodCertificate.result
+    real_certified = pipelines_mod.certified_odd_good
+
+    def counting_result(self, z, s):
+        built.append(("result", self.r, z, s))
+        return real_result(self, z, s)
+
+    def counting_certified(z, s, r):
+        built.append(("certified_odd_good", r, z, s))
+        return real_certified(z, s, r)
+
+    monkeypatch.setattr(pipelines_mod.OddGoodCertificate, "result", counting_result)
+    monkeypatch.setattr(pipelines_mod, "certified_odd_good", counting_certified)
+    path = tmp_path / "table.json"
+    assert main(["table", "--r", "3..7", "--format", "json", "--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == GOLDEN_TABLE.read_bytes()
+    assert built == []
+    odd = [(name, argv) for name, argv in CLI_GOLDENS
+           if name.startswith(("classify_ppr-odd", "classify_rrp", "classify_2rp"))]
+    assert len(odd) == 4
+    for name, argv in odd:
+        path = tmp_path / name
+        assert main([*argv, "--format", "json", "--out", str(path)]) == EXIT_OK
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+    assert [entry[0] for entry in built] == ["result"] * len(odd)
 
 
 def test_law_checks_redraw_degenerate_curves():

@@ -12,13 +12,12 @@ from frey2.fibers import (
     SpecialFiber,
     INFINITY,
     brute_force_singular,
-    classify_point,
     fiber_kind,
     fiber_type,
     singular_points,
     splitting_field,
 )
-from frey2.gf2 import GF2, GF2k, embed, gf2k
+from frey2.gf2 import GF2, GF2k, embed, embed_poly, gf2k
 
 
 def reduce_mod2(H: Poly) -> Poly:
@@ -66,6 +65,27 @@ def test_minpoly_over_subfield():
     # elements of the subfield have linear minpolys
     inside = embed(2, F4, F16)
     assert minpoly_over_subfield(inside, F16, F4).degree() == 1
+
+
+def classify_point(F: SpecialFiber, patch: str, a: int, b: int, field: GF2k | None = None) -> str:
+    """Kind of a point on the given chart, by the Jacobian criterion:
+    smooth, node, or worse; the fiber is embedded into `field` if given."""
+    field = field or F.field
+    for name, Q, P in F.patches():
+        if name != patch:
+            continue
+        if field != F.field:
+            ring = PolyRing(field, Q.ring.var)
+            Q = embed_poly(Q, F.field, ring)
+            P = embed_poly(P, F.field, ring)
+        qa, pa = Q.eval(a), P.eval(a)
+        if field.add(field.mul(b, b), field.mul(b, qa)) != pa:
+            raise PointNotOnCurve(f"({a}, {b}) does not satisfy the equation")
+        qda, pda = Q.derivative().eval(a), P.derivative().eval(a)
+        if qa != 0 or field.mul(pda, pda) != field.mul(field.mul(qda, qda), pa):
+            return SMOOTH
+        return NODE if qda != 0 else NON_SEMISTABLE
+    raise ValueError(f"unknown patch {patch!r}")
 
 
 def fib(q_coeffs, p_coeffs, g, field=GF2):

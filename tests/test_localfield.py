@@ -217,6 +217,63 @@ def test_laurent_exact_div():
     assert q == R.term(3, -2)
 
 
+# --- Laurent arithmetic against a normalising reference ----------------------
+#
+# The ring merges its operands' normalized terms without normalizing again;
+# the reference accumulates plain dicts and normalizes every result.
+
+def _ref_normalize(pairs):
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, 0) + F(c)
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
+
+
+def _ref_mul(a, b):
+    return _ref_normalize((ea + eb, ca * cb) for ea, ca in a for eb, cb in b)
+
+
+def _assert_normalized(R, got, want_terms):
+    want = Laurent(R, want_terms)  # the normalising constructor
+    assert got.terms == want_terms and got == want and hash(got) == hash(want)
+    exps = [e for e, _ in got.terms]
+    assert all(x < y for x, y in zip(exps, exps[1:]))
+    assert all(type(c) is F and c != 0 for _, c in got.terms)
+
+
+laurent_coeffs = st.one_of(
+    st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+)
+laurent_pairs = st.lists(st.tuples(st.integers(-5, 5), laurent_coeffs), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_pairs, laurent_pairs, st.booleans(), st.integers(-4, 4), laurent_coeffs)
+def test_laurent_arithmetic_matches_normalising_reference(pa, pb, cancel, me, mc):
+    R = LaurentRing(FormalParam.positive("u", 1))
+    if cancel:  # b = extra - a, so a + b keeps at most the extra terms
+        pb = [(e, -F(c)) for e, c in pa] + pb[:1]
+    a, b = Laurent(R, pa), Laurent(R, pb)
+    ra, rb = _ref_normalize(pa), _ref_normalize(pb)
+    assert a.terms == ra and b.terms == rb
+    _assert_normalized(R, R.add(a, b), _ref_normalize(ra + rb))
+    _assert_normalized(R, R.sub(a, b), _ref_normalize(ra + tuple((e, -c) for e, c in rb)))
+    _assert_normalized(R, R.neg(a), _ref_normalize((e, -c) for e, c in ra))
+    _assert_normalized(R, R.mul(a, b), _ref_mul(ra, rb))
+    if not b.is_zero():
+        # (a b) / b = a, with b a monomial or not
+        _assert_normalized(R, R.exact_div(R.mul(a, b), b), ra)
+    if mc:
+        # a one-term divisor shifts and divides; the dense route, reached by
+        # multiplying both sides by 1 + u, must agree
+        m = R.term(mc, me)
+        quotient = _ref_normalize((e - me, c / F(mc)) for e, c in ra)
+        _assert_normalized(R, R.exact_div(a, m), quotient)
+        one_plus_u = R.add(R.one, R.gen)
+        dense = R.exact_div(R.mul(a, one_plus_u), R.mul(m, one_plus_u))
+        _assert_normalized(R, dense, quotient)
+
+
 def test_laurent_substitute():
     src = LaurentRing(FormalParam.positive("tau", 1))
     dst = LaurentRing(FormalParam.unit("w", residue=1))

@@ -7,17 +7,17 @@ fields, tuples for tame local fields).  Polynomials are immutable
 coefficient tuples, lowest degree first, with no trailing zeros.
 
 Resultants are Sylvester determinants evaluated by fraction-free Bareiss
-elimination, so every intermediate value stays inside the coefficient
-domain and the final result is bit-exact.  Over QQ and QQ[t] the
-determinant is computed as one determinant over the integers (`ZZ`): each
-row is cleared of its denominators and t is replaced by 2^B, with B large
-enough that every coefficient of the result is one balanced base-2^B digit
-of the integer (Kronecker substitution; see `bareiss_det`).  This is exact
-because evaluation at 2^B is a ring homomorphism and the Leibniz
-expansion bounds every coefficient below 2^(B-1).  Other domains (tame
-fields, Laurent rings, finite fields, QQ[z][s]) eliminate on their own
-elements; no verified path does that any more (see `families`), but the
-tests use it as an oracle.
+elimination (`bareiss_det`, the one elimination loop), so every
+intermediate value stays inside the coefficient domain and the final
+result is bit-exact.  Over QQ and QQ[t] the resultant is one determinant
+over the integers (`ZZ`): each operand is cleared of its denominators once
+and t is replaced by 2^B, with B large enough that every coefficient of
+the result is one balanced base-2^B digit of the integer (Kronecker
+substitution; see `resultant`).  This is exact because evaluation at 2^B
+is a ring homomorphism and the Leibniz expansion bounds every coefficient
+below 2^(B-1).  Other domains (tame fields, Laurent rings, finite fields,
+QQ[z][s]) eliminate on their own elements; no verified path does that any
+more (see `families`), but the tests use it as an oracle.
 
 Products of polynomials over QQ are packed the same way: each operand is
 cleared of its denominators (L_a, L_b) and evaluated at 2^B, the two
@@ -541,107 +541,31 @@ class PolyRing(Domain):
 
 def sylvester_matrix(A: Poly, B: Poly):
     """Sylvester matrix rows (descending coefficients) for Res(A, B)."""
-    n, m = A.degree(), B.degree()
-    base = A.base
+    return _sylvester(A.cs, B.cs, A.base.zero)
+
+
+def _sylvester(a, b, zero):
+    """Sylvester rows of the coefficient lists a, b (low first, nonzero tops)."""
+    n, m = len(a) - 1, len(b) - 1
     size = n + m
-    arow = [A.coeff(n - i) for i in range(n + 1)]
-    brow = [B.coeff(m - i) for i in range(m + 1)]
+    arow, brow = list(a[::-1]), list(b[::-1])
     rows = []
     for i in range(m):
-        rows.append(
-            [base.zero] * i + arow + [base.zero] * (size - n - 1 - i)
-        )
+        rows.append([zero] * i + arow + [zero] * (size - n - 1 - i))
     for i in range(n):
-        rows.append(
-            [base.zero] * i + brow + [base.zero] * (size - m - 1 - i)
-        )
+        rows.append([zero] * i + brow + [zero] * (size - m - 1 - i))
     return rows
 
 
 def bareiss_det(rows, dom: Domain):
-    """Determinant of a square matrix over `dom`.
+    """Determinant of a square matrix over `dom` by fraction-free Bareiss
+    elimination (Bareiss 1968) with row pivoting; every intermediate value
+    stays in `dom`.
 
-    Over QQ and QQ[t] the determinant is one integer determinant (Kronecker
-    substitution, Kronecker 1882).  Row i is multiplied by the lcm L_i of
-    its denominators, and every entry e, now in Z[t], is replaced by the
-    integer e(2^B), where B = bound.bit_length() + 1 and
-    bound = prod_i max(1, sum_j ||M_ij||_1) over the cleared rows (||.||_1
-    is the sum of the absolute values of the coefficients).  By the
-    Leibniz expansion ||det||_1 <= perm(||M_ij||_1) <= bound < 2^(B-1), so
-    every coefficient of the cleared determinant is one balanced base-2^B
-    digit of its value at 2^B.  Evaluation at 2^B is a ring homomorphism,
-    so the integer determinant is exact, nothing is rounded and no degree
-    bound is needed; its digits divided by prod_i L_i are the coefficients.
-
-    Every other domain (tame fields, Laurent rings, finite fields, nested
-    polynomial rings) runs the same elimination directly on its entries.
+    This is the one elimination loop.  `resultant` over QQ and QQ[t] hands
+    it an integer matrix (see there); the tests run it over QQ, QQ[t],
+    tame fields, Laurent rings and QQ[z][s] against independent oracles.
     """
-    univariate = isinstance(dom, PolyRing) and isinstance(dom.base, RationalField)
-    if not (univariate or isinstance(dom, RationalField)):
-        return _eliminate(rows, dom)
-    cleared, denom, bound = [], 1, 1
-    for row in rows:
-        row_cs = [e.cs if univariate else (e,) for e in row]
-        L = lcm(*(c.denominator for cs in row_cs for c in cs))
-        int_row = [[c.numerator * (L // c.denominator) for c in cs] for cs in row_cs]
-        cleared.append(int_row)
-        denom *= L
-        bound *= max(1, sum(abs(c) for cs in int_row for c in cs))
-    B = bound.bit_length() + 1
-    det = _eliminate([[_pack(cs, B) for cs in row] for row in cleared], ZZ)
-    coeffs = [Fraction(c, denom) for c in _unpack(det, B)]
-    if univariate:
-        return Poly(dom, coeffs, normalized=True)
-    return coeffs[0] if coeffs else dom.zero
-
-
-def _rational_product(a, b) -> list[Fraction]:
-    """Coefficients of the product of two nonzero QQ polynomials, low first.
-
-    Kronecker substitution, as in `bareiss_det`: a and b are multiplied by
-    the lcm L_a, L_b of their denominators, and every coefficient of the
-    cleared product is a sum of at most min(len a, len b) terms a_i*b_j, so
-    its absolute value is at most bound = min(len a, len b) * max|a_i| *
-    max|b_j| < 2^(B-1) with B = bound.bit_length() + 1.  Each is therefore
-    one balanced base-2^B digit of the integer product of the values at
-    2^B, and the digits divided by L_a*L_b are the exact coefficients.
-    The leading digit is the product of the nonzero leading coefficients,
-    so the result has len a + len b - 1 entries and no trailing zeros.
-    """
-    La = lcm(*(c.denominator for c in a))
-    Lb = lcm(*(c.denominator for c in b))
-    ia = [c.numerator * (La // c.denominator) for c in a]
-    ib = [c.numerator * (Lb // c.denominator) for c in b]
-    bound = min(len(ia), len(ib)) * max(map(abs, ia)) * max(map(abs, ib))
-    B = bound.bit_length() + 1
-    L = La * Lb
-    return [Fraction(c, L) for c in _unpack(_pack(ia, B) * _pack(ib, B), B)]
-
-
-def _pack(cs, B: int) -> int:
-    """Value at 2^B of the integer polynomial with coefficients cs, low first."""
-    acc = 0
-    for c in reversed(cs):
-        acc = (acc << B) + c
-    return acc
-
-
-def _unpack(n: int, B: int) -> list[int]:
-    """Balanced base-2^B digits of n, low first, each in [-2^(B-1), 2^(B-1))."""
-    half, mask = 1 << (B - 1), (1 << B) - 1
-    digits = []
-    while n:
-        c = n & mask
-        if c >= half:
-            c -= mask + 1
-        digits.append(c)
-        n = (n - c) >> B
-    return digits
-
-
-def _eliminate(rows, dom: Domain):
-    """Determinant by fraction-free Bareiss elimination (Bareiss 1968) with
-    row pivoting; every intermediate value stays in `dom`."""
     n = len(rows)
     if n == 0:
         return dom.one
@@ -671,8 +595,73 @@ def _eliminate(rows, dom: Domain):
     return dom.neg(det) if sign < 0 else det
 
 
+def _rational_product(a, b) -> list[Fraction]:
+    """Coefficients of the product of two nonzero QQ polynomials, low first.
+
+    Kronecker substitution, as in `resultant`: a and b are multiplied by
+    the lcm L_a, L_b of their denominators, and every coefficient of the
+    cleared product is a sum of at most min(len a, len b) terms a_i*b_j, so
+    its absolute value is at most bound = min(len a, len b) * max|a_i| *
+    max|b_j| < 2^(B-1) with B = bound.bit_length() + 1.  Each is therefore
+    one balanced base-2^B digit of the integer product of the values at
+    2^B, and the digits divided by L_a*L_b are the exact coefficients.
+    The leading digit is the product of the nonzero leading coefficients,
+    so the result has len a + len b - 1 entries and no trailing zeros.
+    """
+    (La, ia), (Lb, ib) = _clear(a), _clear(b)
+    bound = min(len(ia), len(ib)) * max(map(abs, ia)) * max(map(abs, ib))
+    B = bound.bit_length() + 1
+    L = La * Lb
+    return [Fraction(c, L) for c in _unpack(_pack(ia, B) * _pack(ib, B), B)]
+
+
+def _clear(cs) -> tuple[int, list[int]]:
+    """(L, [L*c for c in cs]) with L the lcm of the denominators of the rationals cs."""
+    L = lcm(*(c.denominator for c in cs))
+    return L, [c.numerator * (L // c.denominator) for c in cs]
+
+
+def _pack(cs, B: int) -> int:
+    """Value at 2^B of the integer polynomial with coefficients cs, low first."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << B) + c
+    return acc
+
+
+def _unpack(n: int, B: int) -> list[int]:
+    """Balanced base-2^B digits of n, low first, each in [-2^(B-1), 2^(B-1))."""
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    digits = []
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        digits.append(c)
+        n = (n - c) >> B
+    return digits
+
+
 def resultant(A: Poly, B: Poly):
-    """Res(A, B) over the coefficient domain, by Sylvester + Bareiss."""
+    """Res(A, B) over the coefficient domain, by Sylvester + Bareiss.
+
+    Over QQ and QQ[t] the determinant is one integer determinant.  With
+    n = deg A and m = deg B, A and B are multiplied by the lcm L_A, L_B of
+    their denominators, so Res(L_A A, L_B B) = L_A^m L_B^n Res(A, B) and
+    the Sylvester matrix of the cleared operands has entries in Z or Z[t].
+    Over QQ[t] every entry is then replaced by its integer value at 2^k
+    (Kronecker substitution, Kronecker 1882), where k = bound.bit_length()
+    + 1 and bound = ||L_A A||_1^m ||L_B B||_1^n (||.||_1 sums the absolute
+    values of all coefficients; the bound is the product of the norms of
+    the Sylvester rows).  By the Leibniz expansion every coefficient of the
+    cleared resultant is at most bound < 2^(k-1) in absolute value, so it is
+    one balanced base-2^k digit of the integer determinant.  Evaluation at
+    2^k is a ring homomorphism, so that determinant is exact, nothing is
+    rounded and no degree bound is needed.  The integer determinant (over
+    QQ) or its digits (over QQ[t]) divided by L_A^m L_B^n give the result.
+    Every other domain runs `bareiss_det` on the Sylvester matrix of its own
+    elements.
+    """
     if A.is_zero() and B.is_zero():
         raise ZeroInput("resultant of (0, 0)")
     base = A.base
@@ -684,7 +673,27 @@ def resultant(A: Poly, B: Poly):
         return base.pow(A.lc(), B.degree())
     if B.degree() == 0:
         return base.pow(B.lc(), A.degree())
-    return bareiss_det(sylvester_matrix(A, B), base)
+    n, m = A.degree(), B.degree()
+    if isinstance(base, RationalField):
+        (La, ia), (Lb, ib) = _clear(A.cs), _clear(B.cs)
+        return Fraction(bareiss_det(_sylvester(ia, ib, 0), ZZ), La**m * Lb**n)
+    if not (isinstance(base, PolyRing) and isinstance(base.base, RationalField)):
+        return bareiss_det(sylvester_matrix(A, B), base)
+    (La, ia, norm_a), (Lb, ib, norm_b) = _cleared(A), _cleared(B)
+    k = (norm_a**m * norm_b**n).bit_length() + 1
+    det = bareiss_det(
+        _sylvester([_pack(cs, k) for cs in ia], [_pack(cs, k) for cs in ib], 0), ZZ
+    )
+    denom = La**m * Lb**n
+    return Poly(base, [Fraction(c, denom) for c in _unpack(det, k)], normalized=True)
+
+
+def _cleared(P: Poly):
+    """(L, integer coefficient lists of L*P, ||L*P||_1) for P over QQ[t], with
+    L the lcm of all denominators; one list per coefficient of P."""
+    L = lcm(*(q.denominator for c in P.cs for q in c.cs))
+    ints = [[q.numerator * (L // q.denominator) for q in c.cs] for c in P.cs]
+    return L, ints, sum(abs(q) for cs in ints for q in cs)
 
 
 def discriminant(H: Poly):

@@ -12,14 +12,18 @@ return the transformed equation together with the exact discriminant
 scale factor e^(-4(2g+1)) (ad-bc)^(2(g+1)(2g+1)), so pipelines can track
 discriminants without recomputing resultants: factor times the certified
 closed form of their starting curve.  A diagonal change (x scaled, no
-translation or inversion) costs O(deg) coefficient operations; any other
-change costs O(deg^2).  `hyper_discriminant`, the direct determinant,
-runs on the verified paths only over QQ[t] and QQ[s].
+translation or inversion) costs O(deg) coefficient operations.  Any other
+change over QQ is one homogeneous Horner on Python ints, with X replaced
+by 2^B (Kronecker substitution, as for QQ products and resultants in
+`algebra`); over any other base it costs O(deg^2) ring operations.
+`hyper_discriminant`, the direct determinant, runs on the verified paths
+only over QQ[t] and QQ[s].
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import Poly, PolyRing, discriminant, poly_str
+from .algebra import Poly, PolyRing, RationalField, _clear, _unpack, discriminant, poly_str
 from .errors import DegreeViolation, SingularChange
 
 
@@ -152,7 +156,9 @@ def _clearing_transform(H: Poly, a, b, c, d, cap: int) -> Poly:
     A diagonal change (b = c = 0) scales coefficient i by a^i d^(cap-i),
     O(deg) ring operations.  Any other change runs homogeneous Horner,
     S_k = S_(k-1) (a X + b) + h_(n-k) (c X + d)^k with S_n times
-    (c X + d)^(cap-n) the result, O(deg^2) ring operations.
+    (c X + d)^(cap-n) the result.  Over QQ that Horner runs once on Python
+    ints (see `_rational_clearing_transform`); over any other base it takes
+    O(deg^2) ring operations.
     """
     ring = H.ring
     base = ring.base
@@ -173,6 +179,8 @@ def _clearing_transform(H: Poly, a, b, c, d, cap: int) -> Poly:
                 for i, h in enumerate(H.cs)
             ],
         )
+    if isinstance(base, RationalField):
+        return _rational_clearing_transform(H, a, b, c, d, cap)
     num = Poly(ring, (b, a))  # a X + b
     den = Poly(ring, (d, c))  # c X + d
     den_pow = ring.one
@@ -184,6 +192,33 @@ def _clearing_transform(H: Poly, a, b, c, d, cap: int) -> Poly:
         if not base.is_zero(h):
             acc = acc + den_pow.scale(h)
     return acc * den ** (cap - n)
+
+
+def _rational_clearing_transform(H: Poly, a, b, c, d, cap: int) -> Poly:
+    """The homogeneous Horner of `_clearing_transform` over QQ, on one integer.
+
+    a, b, c, d are multiplied by the lcm lam of their denominators, which
+    leaves x = (a X + b)/(c X + d) unchanged and scales the result by
+    lam^cap, and H by the lcm L_H of its denominators.  The cleared result
+    is sum_i h_i (a X + b)^i (c X + d)^(cap-i) with integer h_i, a, b, c, d,
+    so every coefficient is at most bound = ||L_H H||_1 *
+    max(|a| + |b|, |c| + |d|)^cap < 2^(k-1) in absolute value, with
+    k = bound.bit_length() + 1.  Horner on the values at X = 2^k then gives
+    an integer whose balanced base-2^k digits, divided by L_H lam^cap, are
+    the coefficients (Kronecker substitution, as in `algebra.resultant`).
+    """
+    lam, (a, b, c, d) = _clear((a, b, c, d))
+    L, hs = _clear(H.cs)
+    bound = sum(map(abs, hs)) * max(abs(a) + abs(b), abs(c) + abs(d)) ** cap
+    k = bound.bit_length() + 1
+    num, den = (a << k) + b, (c << k) + d
+    acc, den_pow = hs[-1], 1
+    for h in reversed(hs[:-1]):
+        den_pow *= den
+        acc = acc * num + h * den_pow
+    denom = L * lam**cap
+    digits = _unpack(acc * den ** (cap - len(hs) + 1), k)
+    return Poly(H.ring, [Fraction(v, denom) for v in digits], normalized=True)
 
 
 def apply_change(E: HyperEq, M: MobiusChange) -> ChangeResult:

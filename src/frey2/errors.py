@@ -41,10 +41,6 @@ class SingularChange(Frey2Error, ValueError):
     """Change of variables with ad - bc = 0 or e = 0."""
 
 
-class PointNotOnCurve(Frey2Error, ValueError):
-    pass
-
-
 class NotOddPrime(Frey2Error, ValueError):
     pass
 

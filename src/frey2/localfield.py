@@ -27,6 +27,7 @@ All valuations are Fractions normalized to v(2) = 1.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import Domain, Poly, PolyRing, QQ, ext_gcd, rational_residue_bit, v2
 from .errors import (
@@ -50,9 +51,12 @@ class TameField(Domain):
         self.zero = (Fraction(0),) * r
         self.one = (Fraction(1),) + (Fraction(0),) * (r - 1)
         self.pi = (Fraction(0), Fraction(1)) + (Fraction(0),) * (r - 2)
-        self._modulus = Poly(  # pi^r - 2, for `inv`
-            PolyRing(QQ, "pi"), [Fraction(-2)] + [Fraction(0)] * (r - 1) + [Fraction(1)]
-        )
+
+    @cached_property
+    def _modulus(self):
+        """pi^r - 2, built when `inv` first meets a non-monomial."""
+        r = self.r
+        return Poly(PolyRing(QQ, "pi"), [Fraction(-2)] + [Fraction(0)] * (r - 1) + [Fraction(1)])
 
     def element(self, coeffs):
         cs = [Fraction(c) for c in coeffs]

@@ -17,6 +17,7 @@ from frey2.algebra import (
     gcd_monic,
     poly_sqrt,
     resultant,
+    sylvester_matrix,
     v2,
 )
 from frey2.errors import DivisionByZero, InexactDivision, ZeroElement, ZeroInput
@@ -213,10 +214,11 @@ def test_integer_bareiss_against_cofactor_expansion(case):
 @pytest.mark.parametrize("dom", [QQ, Rt])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_integer_bareiss_coefficient_at_the_bound(dom, sign):
-    # Single-term diagonal entries: after clearing denominators the row norms
-    # are 3, 5 and 17, so bound = 255 = 2^8 - 1 and the one nonzero
-    # coefficient of the cleared determinant is +-bound, the largest
-    # magnitude a balanced base-2^9 digit must carry.
+    # Single-term diagonal entries: cleared row by row, the row norms are 3,
+    # 5 and 17, and the one nonzero coefficient of the cleared determinant is
+    # their product +-255, the Leibniz bound itself.  The elimination runs on
+    # Fractions and QQ[t] entries; the packed resultant meets its own bound in
+    # `test_packed_resultant_coefficient_in_the_top_bit`.
     t = Rt.gen if dom is Rt else QQ.one
     entries = [Fraction(3, 2), Fraction(5, 4), Fraction(17 * sign, 8)]
     rows = [[dom.zero] * 3 for _ in range(3)]
@@ -225,6 +227,57 @@ def test_integer_bareiss_coefficient_at_the_bound(dom, sign):
     det = bareiss_det(rows, dom)
     assert det == dom.mul(dom.from_rational(Fraction(255 * sign, 64)), dom.pow(t, 6))
     assert det == _cofactor_det(rows, dom)
+
+
+@st.composite
+def rational_operands(draw):
+    """(domain, A, B) over QQ or QQ[t]: degrees 0 to 4, coefficients of degree
+    <= 3 in t with signed numerators and denominators up to 12."""
+    dom = draw(st.sampled_from([QQ, Rt]))
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    entry = rational if dom is QQ else st.lists(rational, max_size=4).map(dom.from_coeffs)
+    ring = PolyRing(dom, "x")
+    nonzero = entry.filter(lambda e: not dom.is_zero(e))
+    operand = st.builds(
+        lambda low, top: ring.from_coeffs(low + [top]),
+        st.lists(st.one_of(st.just(dom.zero), entry), max_size=4),
+        nonzero,
+    )
+    return dom, draw(operand), draw(operand)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_operands())
+def test_packed_resultant_against_sylvester_elimination(case):
+    dom, A, B = case
+    res = resultant(A, B)
+    assert res == bareiss_det(sylvester_matrix(A, B), dom)
+    assert resultant(B, A) == dom.mul(dom.from_int((-1) ** (A.degree() * B.degree())), res)
+    coeffs = res.cs if dom is Rt else (res,)
+    assert all(type(c) is Fraction for c in coeffs)
+    if dom is Rt and coeffs:
+        assert coeffs[-1] != 0
+
+
+@pytest.mark.parametrize("dom", [QQ, Rt])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_resultant_coefficient_in_the_top_bit(dom, sign):
+    # A = x/2 and B = (x^2 + 256 sign t^3)/4 clear to x and x^2 + 256 sign t^3.
+    # Over QQ[t], bound = 1^2 * 257 needs 9 bits, and the cleared resultant
+    # 256 sign t^3 has a coefficient of 9 bits too: one bit less per digit
+    # would misread it.  The degrees differ, so over QQ and QQ[t] alike the
+    # cleared resultant is divided by 2^2 * 4^1, not by 2^1 * 4^2.
+    t = Rt.gen if dom is Rt else QQ.one
+    ring = PolyRing(dom, "x")
+    X = ring.gen
+    A = X.scale(dom.from_rational(Fraction(1, 2)))
+    B = (X * X + ring.const(dom.mul(dom.from_int(256 * sign), dom.pow(t, 3)))).scale(
+        dom.from_rational(Fraction(1, 4))
+    )
+    want = dom.mul(dom.from_int(16 * sign), dom.pow(t, 3))
+    assert resultant(A, B) == want
+    assert resultant(B, A) == want
+    assert want == bareiss_det(sylvester_matrix(A, B), dom)
 
 
 def test_integer_ring_exact_division():

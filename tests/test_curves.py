@@ -238,7 +238,7 @@ def _tame_elements(field):
 
 
 FIELD_ELEMENTS = {
-    "qq": (QQ, st.builds(F, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2, 3]))),
+    "qq": (QQ, st.builds(F, st.integers(-(2**40), 2**40).filter(bool), st.integers(1, 12))),
     **{f"tame{r}": (TameField(r), _tame_elements(TameField(r))) for r in (3, 5, 7)},
 }
 
@@ -262,11 +262,12 @@ def test_apply_change_matches_cubic_reference(domain, data):
     ring = PolyRing(base, "x")
     E = _draw_curve(data, ring, nonzero)
     element = st.one_of(st.just(base.zero), nonzero)
-    a, d, e = (data.draw(nonzero) for _ in range(3))
+    e = data.draw(nonzero)
     if data.draw(st.booleans(), label="diagonal"):
+        a, d = data.draw(nonzero), data.draw(nonzero)
         b = c = base.zero
     else:
-        b, c = data.draw(element), data.draw(element)
+        a, b, c, d = (data.draw(element) for _ in range(4))
         assume(not base.is_zero(base.sub(base.mul(a, d), base.mul(b, c))))
     shift = Poly(ring, data.draw(st.lists(element, max_size=E.g + 2)))
     M = MobiusChange(a, b, c, d, e, shift)
@@ -275,6 +276,28 @@ def test_apply_change_matches_cubic_reference(domain, data):
     except DegreeViolation:
         # the image of infinity can drop the degree below the window
         assume(False)
+    assert (res.equation.Q, res.equation.P, res.factor) == _reference_change(E, M)
+
+
+@pytest.mark.parametrize(
+    "Q,P,change",
+    [
+        # c = 0 with b != 0: a translation, no inversion
+        ([1, F(1, 3)], [F(5, 2), 0, F(-7, 12), 0, 1], (F(2, 5), F(-3, 7), 0, F(11, 4))),
+        # a = 0: infinity and a finite point trade places
+        ([0, 1], [F(2, 9), 1, 0, F(-3, 2), F(1, 6)], (0, F(5, 3), F(-1, 2), F(7, 8))),
+        # deg Q = 0 < g + 1 and deg P = 2g + 1 < 2g + 2
+        ([F(3, 4)], [F(1, 5), 0, F(9, 2), F(-4, 3)], (F(1, 2), F(-1, 3), F(3, 4), 2)),
+        # y^2 = (5/7) x^4: the cleared x^4 coefficient of the image is
+        # 5 * 3^4 = ||5 x^4||_1 * max(|3| + |0|, |1| + |2|)^4, the bound itself
+        ([], [0, 0, 0, 0, F(5, 7)], (F(3, 2), 0, F(1, 2), 1)),
+    ],
+    ids=["c0", "a0", "low-degree", "at-bound"],
+)
+def test_rational_change_edge_cases_match_cubic_reference(Q, P, change):
+    E = HyperEq(R.from_coeffs(Q), R.from_coeffs(P), 1)
+    M = MobiusChange(*map(F, change), F(3, 2), R.from_coeffs([F(1, 2), -1]))
+    res = apply_change(E, M)
     assert (res.equation.Q, res.equation.P, res.factor) == _reference_change(E, M)
 
 

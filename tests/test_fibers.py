@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from frey2.algebra import Poly, PolyRing, QQ, rational_residue_bit
-from frey2.errors import NonIntegralCoefficient, PointNotOnCurve
+from frey2.errors import NonIntegralCoefficient
 from frey2.fibers import (
     AFFINE,
     NODE,
@@ -65,6 +65,10 @@ def test_minpoly_over_subfield():
     # elements of the subfield have linear minpolys
     inside = embed(2, F4, F16)
     assert minpoly_over_subfield(inside, F16, F4).degree() == 1
+
+
+class PointNotOnCurve(ValueError):
+    """`classify_point` was given a point that is not on its chart."""
 
 
 def classify_point(F: SpecialFiber, patch: str, a: int, b: int, field: GF2k | None = None) -> str:

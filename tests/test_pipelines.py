@@ -244,15 +244,27 @@ def test_odd_good_disc_equals_determinant(z, s, r):
 
 
 def test_pipelines_take_one_rational_determinant_per_family_and_r(monkeypatch):
-    """No determinant over a Laurent or tame domain; certificates are cached."""
-    domains = []
-    real = algebra_mod.bareiss_det
+    """No determinant over a Laurent or tame domain; certificates are cached.
 
-    def recorded(rows, dom):
-        domains.append(dom)
-        return real(rows, dom)
+    A resultant over QQ[t] hands `bareiss_det` an integer matrix, so each
+    determinant is recorded with the operand base of the resultant taking it.
+    """
+    bases, domains = [], []
+    real_resultant, real_det = algebra_mod.resultant, algebra_mod.bareiss_det
 
-    monkeypatch.setattr(algebra_mod, "bareiss_det", recorded)
+    def resultant(A, B):
+        bases.append(A.base)
+        try:
+            return real_resultant(A, B)
+        finally:
+            bases.pop()
+
+    def bareiss_det(rows, dom):
+        domains.append(bases[-1] if bases else dom)
+        return real_det(rows, dom)
+
+    monkeypatch.setattr(algebra_mod, "resultant", resultant)
+    monkeypatch.setattr(algebra_mod, "bareiss_det", bareiss_det)
     families_mod.closed_form_certificate.cache_clear()
     families_mod._czs_weighted_coeffs.cache_clear()
     for _ in range(2):

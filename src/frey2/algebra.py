@@ -6,18 +6,22 @@ rationals, ``Poly`` for polynomial coefficient rings, ints for finite
 fields, tuples for tame local fields).  Polynomials are immutable
 coefficient tuples, lowest degree first, with no trailing zeros.
 
-Resultants are Sylvester determinants evaluated by fraction-free Bareiss
-elimination (`bareiss_det`, the one elimination loop), so every
-intermediate value stays inside the coefficient domain and the final
-result is bit-exact.  Over QQ and QQ[t] the resultant is one determinant
-over the integers (`ZZ`): each operand is cleared of its denominators once
-and t is replaced by 2^B, with B large enough that every coefficient of
-the result is one balanced base-2^B digit of the integer (Kronecker
-substitution; see `resultant`).  This is exact because evaluation at 2^B
-is a ring homomorphism and the Leibniz expansion bounds every coefficient
-below 2^(B-1).  Other domains (tame fields, Laurent rings, finite fields,
-QQ[z][s]) eliminate on their own elements; no verified path does that any
-more (see `families`), but the tests use it as an oracle.
+Resultants are computed by the subresultant polynomial remainder sequence
+(PRS; Collins 1967, Cohen GTM 138 Algorithm 3.3.7): O(n^2) ring operations
+for operands of degree n, where the determinant of the Sylvester matrix
+costs O(n^3).  Its only divisions are exact, so every intermediate value
+stays inside the coefficient domain and the result is bit-exact.  Over QQ
+and QQ[t] the PRS runs on integers (`ZZ`): each operand is cleared of its
+denominators once and t is replaced by 2^B, with B large enough that every
+coefficient the PRS meets is one balanced base-2^B digit of an integer
+(Kronecker substitution; see `resultant`).  This is exact because
+evaluation at 2^B is a ring homomorphism and every such coefficient is a
+minor of the Sylvester matrix, bounded below 2^(B-1) by the Leibniz
+expansion.  Other domains (tame fields, Laurent rings, finite fields,
+QQ[z][s]) run the PRS on their own elements; no verified path does that
+any more (see `families`), but the tests use it.  `sylvester_matrix` and
+fraction-free Bareiss elimination (`bareiss_det`) stay as the test oracle
+of `resultant`.
 
 Products of polynomials over QQ are packed the same way: each operand is
 cleared of its denominators (L_a, L_b) and evaluated at 2^B, the two
@@ -166,6 +170,11 @@ class RationalField(Domain):
             raise DivisionByZero("division by zero in Q")
         return Fraction(a) / b
 
+    def pow(self, a, n: int):
+        if n < 0 and a == 0:
+            raise DivisionByZero("0 to a negative power in Q")
+        return Fraction(a) ** n
+
     def is_unit(self, a):
         return a != 0
 
@@ -210,6 +219,11 @@ class IntegerRing(Domain):
         if rem:
             raise InexactDivision(f"{a} is not divisible by {b} in Z")
         return q
+
+    def pow(self, a, n: int):
+        if n < 0:
+            return super().pow(a, n)
+        return a**n
 
     def __repr__(self):
         return "ZZ"
@@ -540,12 +554,12 @@ class PolyRing(Domain):
 
 
 def sylvester_matrix(A: Poly, B: Poly):
-    """Sylvester matrix rows (descending coefficients) for Res(A, B)."""
-    return _sylvester(A.cs, B.cs, A.base.zero)
+    """Sylvester matrix rows (descending coefficients) for Res(A, B).
 
-
-def _sylvester(a, b, zero):
-    """Sylvester rows of the coefficient lists a, b (low first, nonzero tops)."""
+    A test oracle: `bareiss_det(sylvester_matrix(A, B), dom)` is Res(A, B)
+    by definition, and the tests hold `resultant` to it.
+    """
+    a, b, zero = A.cs, B.cs, A.base.zero
     n, m = len(a) - 1, len(b) - 1
     size = n + m
     arow, brow = list(a[::-1]), list(b[::-1])
@@ -562,9 +576,10 @@ def bareiss_det(rows, dom: Domain):
     elimination (Bareiss 1968) with row pivoting; every intermediate value
     stays in `dom`.
 
-    This is the one elimination loop.  `resultant` over QQ and QQ[t] hands
-    it an integer matrix (see there); the tests run it over QQ, QQ[t],
-    tame fields, Laurent rings and QQ[z][s] against independent oracles.
+    A test oracle: no verified path takes a determinant (`resultant` runs
+    the subresultant PRS), but the tests hold `resultant` to the Sylvester
+    determinant and run this loop over QQ, QQ[t], tame fields, Laurent rings
+    and QQ[z][s] against independent oracles.
     """
     n = len(rows)
     if n == 0:
@@ -643,49 +658,47 @@ def _unpack(n: int, B: int) -> list[int]:
 
 
 def resultant(A: Poly, B: Poly):
-    """Res(A, B) over the coefficient domain, by Sylvester + Bareiss.
+    """Res(A, B) over the coefficient domain, by the subresultant PRS.
 
-    Over QQ and QQ[t] the determinant is one integer determinant.  With
-    n = deg A and m = deg B, A and B are multiplied by the lcm L_A, L_B of
-    their denominators, so Res(L_A A, L_B B) = L_A^m L_B^n Res(A, B) and
-    the Sylvester matrix of the cleared operands has entries in Z or Z[t].
-    Over QQ[t] every entry is then replaced by its integer value at 2^k
-    (Kronecker substitution, Kronecker 1882), where k = bound.bit_length()
-    + 1 and bound = ||L_A A||_1^m ||L_B B||_1^n (||.||_1 sums the absolute
-    values of all coefficients; the bound is the product of the norms of
-    the Sylvester rows).  By the Leibniz expansion every coefficient of the
-    cleared resultant is at most bound < 2^(k-1) in absolute value, so it is
-    one balanced base-2^k digit of the integer determinant.  Evaluation at
-    2^k is a ring homomorphism, so that determinant is exact, nothing is
-    rounded and no degree bound is needed.  The integer determinant (over
-    QQ) or its digits (over QQ[t]) divided by L_A^m L_B^n give the result.
-    Every other domain runs `bareiss_det` on the Sylvester matrix of its own
-    elements.
+    Every domain runs `_subresultant`, O(deg A * deg B) ring operations in
+    place of the O((deg A + deg B)^3) of Sylvester elimination.  Over QQ
+    and QQ[t] it runs on integers.  With n = deg A and m = deg B, A and B
+    are multiplied by the lcm L_A, L_B of their denominators, so
+    Res(L_A A, L_B B) = L_A^m L_B^n Res(A, B) and the cleared operands have
+    coefficients in Z or Z[t].  Over QQ[t] every coefficient is then
+    replaced by its integer value at 2^k (Kronecker substitution, Kronecker
+    1882), where k = bound.bit_length() + 1 and bound = ||L_A A||_1^m
+    ||L_B B||_1^n (||.||_1 sums the absolute values of all coefficients;
+    the bound is the product of the norms of the Sylvester rows).  Each
+    remainder the PRS keeps, each g and h, and the resultant itself have
+    subresultant coefficients: minors of m - j rows of A and n - j rows of
+    B in the Sylvester matrix, whose coefficients in t are at most
+    bound < 2^(k-1) in absolute value by the Leibniz expansion.  Such a
+    polynomial is zero exactly when its value at 2^k is, so the PRS on the
+    values takes the same degree sequence, and the resultant is one
+    balanced base-2^k digit per coefficient.  The steps in between need no
+    bound: evaluation at 2^k is a ring homomorphism, a pseudo-remainder is
+    a kept remainder times the nonzero g h^delta, and it is unique in any
+    integral domain once the divisor's leading coefficient is nonzero.  The
+    integer result (over QQ) or its digits (over QQ[t]) divided by
+    L_A^m L_B^n give the result.
     """
     if A.is_zero() and B.is_zero():
         raise ZeroInput("resultant of (0, 0)")
     base = A.base
     if A.is_zero() or B.is_zero():
         return base.zero
-    if A.degree() == 0 and B.degree() == 0:
-        return base.one
-    if A.degree() == 0:
-        return base.pow(A.lc(), B.degree())
-    if B.degree() == 0:
-        return base.pow(B.lc(), A.degree())
     n, m = A.degree(), B.degree()
     if isinstance(base, RationalField):
         (La, ia), (Lb, ib) = _clear(A.cs), _clear(B.cs)
-        return Fraction(bareiss_det(_sylvester(ia, ib, 0), ZZ), La**m * Lb**n)
+        return Fraction(_subresultant(ia, ib, ZZ), La**m * Lb**n)
     if not (isinstance(base, PolyRing) and isinstance(base.base, RationalField)):
-        return bareiss_det(sylvester_matrix(A, B), base)
+        return _subresultant(A.cs, B.cs, base)
     (La, ia, norm_a), (Lb, ib, norm_b) = _cleared(A), _cleared(B)
     k = (norm_a**m * norm_b**n).bit_length() + 1
-    det = bareiss_det(
-        _sylvester([_pack(cs, k) for cs in ia], [_pack(cs, k) for cs in ib], 0), ZZ
-    )
+    res = _subresultant([_pack(cs, k) for cs in ia], [_pack(cs, k) for cs in ib], ZZ)
     denom = La**m * Lb**n
-    return Poly(base, [Fraction(c, denom) for c in _unpack(det, k)], normalized=True)
+    return Poly(base, [Fraction(c, denom) for c in _unpack(res, k)], normalized=True)
 
 
 def _cleared(P: Poly):
@@ -696,19 +709,94 @@ def _cleared(P: Poly):
     return L, ints, sum(abs(q) for cs in ints for q in cs)
 
 
+def _subresultant(a, b, dom: Domain):
+    """Res of the polynomials with coefficient lists a, b over `dom` (low
+    first, nonzero tops), by the subresultant PRS (Collins 1967; Cohen,
+    GTM 138, Algorithm 3.3.7, without its content removal).
+
+    Each step replaces (A, B) by (B, prem(A, B) / (g h^delta)) with
+    delta = deg A - deg B, g the leading coefficient of the last divisor and
+    h the last principal subresultant coefficient; the divisions are exact
+    and go through `dom.exact_div`, so a wrong step raises InexactDivision.
+    Every remainder is a subresultant, so coefficients stay the size of the
+    Sylvester minors and nothing leaves `dom`.  Degree gaps (delta > 1) are
+    the non-normal case; a zero remainder means a common factor and
+    resultant 0.  Degree-0 operands need no step: Res(A, c) = c^(deg A).
+    """
+    n, m = len(a) - 1, len(b) - 1
+    negate = False
+    if n < m:
+        a, b, n, m = b, a, m, n
+        negate = bool(n & m & 1)
+    g = h = dom.one
+    while m:
+        delta = n - m
+        if n & m & 1:
+            negate = not negate
+        r = _prem(a, b, dom)
+        if not r:
+            return dom.zero
+        d = dom.mul(g, dom.pow(h, delta))
+        if d != dom.one:
+            r = [dom.exact_div(c, d) for c in r]
+        a, b = b, r
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta:
+            h = dom.exact_div(dom.pow(g, delta), dom.pow(h, delta - 1))
+        n, m = m, len(b) - 1
+    res = dom.pow(b[0], n)
+    if n > 1:
+        res = dom.exact_div(res, dom.pow(h, n - 1))
+    return dom.neg(res) if negate else res
+
+
+def _prem(a, b, dom: Domain):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of coefficient
+    lists (low first, nonzero tops, deg a >= deg b >= 1), zeros stripped."""
+    mul, sub, is_zero = dom.mul, dom.sub, dom.is_zero
+    m = len(b) - 1
+    lb, low = b[-1], b[:-1]
+    r = list(a)
+    e = len(a) - m
+    while len(r) > m:
+        lr = r.pop()
+        shift = len(r) - m
+        r = [mul(lb, c) for c in r]
+        for j, c in enumerate(low):
+            r[shift + j] = sub(r[shift + j], mul(lr, c))
+        while r and is_zero(r[-1]):
+            r.pop()
+        e -= 1
+    if e:
+        q = dom.pow(lb, e)
+        r = [mul(q, c) for c in r]
+    return r
+
+
 def discriminant(H: Poly):
-    """(-1)^(n(n-1)/2) Res(H, H') / lc(H) for n = deg H >= 1."""
+    """(-1)^(n(n-1)/2) Res(H, H') / lc(H) for n = deg H >= 1.
+
+    Over QQ, H is cleared once: with L the lcm of its denominators, L*H and
+    its derivative have integer coefficients, the PRS runs on them, and
+    disc(H) = disc(L*H) / L^(2n-2), since the discriminant is homogeneous of
+    degree 2n - 2 in the coefficients.
+    """
     if H.is_zero():
         raise ZeroInput("discriminant of the zero polynomial")
     n = H.degree()
     if n < 1:
         raise ZeroInput("discriminant needs degree >= 1")
+    negate = (n * (n - 1) // 2) % 2
     base = H.base
-    res = resultant(H, H.derivative())
-    d = base.exact_div(res, H.lc())
-    if (n * (n - 1) // 2) % 2:
-        d = base.neg(d)
-    return d
+    if isinstance(base, RationalField):
+        L, ih = _clear(H.cs)
+        res = _subresultant(ih, [i * c for i, c in enumerate(ih)][1:], ZZ)
+        d = ZZ.exact_div(res, ih[-1])
+        return Fraction(-d if negate else d, L ** (2 * n - 2))
+    d = base.exact_div(resultant(H, H.derivative()), H.lc())
+    return base.neg(d) if negate else d
 
 
 def gcd_monic(A: Poly, B: Poly) -> Poly:

@@ -16,7 +16,7 @@ translation or inversion) costs O(deg) coefficient operations.  Any other
 change over QQ is one homogeneous Horner on Python ints, with X replaced
 by 2^B (Kronecker substitution, as for QQ products and resultants in
 `algebra`); over any other base it costs O(deg^2) ring operations.
-`hyper_discriminant`, the direct determinant, runs on the verified paths
+`hyper_discriminant`, the direct resultant, runs on the verified paths
 only over QQ[t] and QQ[s].
 """
 

@@ -17,11 +17,11 @@ Each formula of the paper has one home here, over any coefficient domain:
 `verify_identities` checks the three factorization identities exactly and
 reports which square factor f-2 actually has (h(x), not the h(-x) some
 sources print).  `verify_closed_form_disc` compares a computed curve
-discriminant of each family, one determinant per (family, r), with its
+discriminant of each family, one resultant per (family, r), with its
 printed closed form and reports an exact structured diff when the printed
 form follows the bare polynomial-discriminant normalization instead
 (ratio 2^(4g): the C_r^+ family).  `certified_disc` hands the pipelines
-the certified closed form at their parameter, so no determinant runs over
+the certified closed form at their parameter, so no resultant runs over
 a Laurent or tame domain.
 """
 
@@ -379,7 +379,7 @@ def _czs_weighted_coeffs(r: int) -> tuple:
     (1, 2, r) (Gelfand-Kapranov-Zelevinsky, Discriminants, Resultants and
     Multidimensional Determinants, 1994, ch. 12), so a term z^i s^j has
     2i + rj = r(r-1): j is even, at most r-1, and fixes i.  The slice
-    z = 1, one C_S determinant over QQ[s], thus gives the whole form.
+    z = 1, one C_S resultant over QQ[s], thus gives the whole form.
     """
     slice_ = hyper_discriminant(build_curve(C_S, r).equation)
     m = (r - 1) // 2
@@ -407,7 +407,7 @@ def czs_disc_at(r: int, dom, z, s):
 def verify_closed_form_disc(family: str, r: int | None = None) -> DiscReport:
     """Compare the computed curve discriminant with the printed closed form.
 
-    C_plus and H_35 take their own QQ[t] determinant; C_zs, H_rr and H_2r
+    C_plus and H_35 take their own QQ[t] resultant; C_zs, H_rr and H_2r
     share the C_S one (`czs_disc_at`).  The comparison is exact.  When they
     differ, the exact ratio is reported; a ratio of `printed_gap` is a
     documented mismatch rather than a failure.

@@ -12,7 +12,7 @@ claim raises PipelineAssertionFailed rather than producing a report.
 The final model's discriminant is factor * Delta(E0) by the
 transformation law (Lockhart, Trans. AMS 342, 1994), with Delta(E0) the
 certified closed form at the pipeline's parameter (`certified_disc`), so
-no determinant runs over a Laurent or tame domain.
+no resultant runs over a Laurent or tame domain.
 
 The even-degree (formal-parameter) cases prove their claims uniformly in
 v2(t) via Laurent models.  The odd-degree chain has two forms.

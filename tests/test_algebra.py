@@ -21,7 +21,7 @@ from frey2.algebra import (
     v2,
 )
 from frey2.errors import DivisionByZero, InexactDivision, ZeroElement, ZeroInput
-from frey2.localfield import TameField
+from frey2.localfield import FormalParam, Laurent, LaurentRing, TameField
 
 R = PolyRing(QQ, "x")
 x = R.gen
@@ -278,6 +278,109 @@ def test_packed_resultant_coefficient_in_the_top_bit(dom, sign):
     assert resultant(A, B) == want
     assert resultant(B, A) == want
     assert want == bareiss_det(sylvester_matrix(A, B), dom)
+
+
+QQzs = PolyRing(PolyRing(QQ, "z"), "s")
+LAURENT = LaurentRing(FormalParam.positive("u", 1))
+GF7 = PrimeField(7)
+PRS_DOMAINS = [QQ, Rt, QQzs, TameField(3), TameField(5), LAURENT, GF7]
+
+
+def _elements(dom):
+    """Small, often zero, elements of one of PRS_DOMAINS."""
+    q = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    if dom is QQ:
+        return q
+    if dom is GF7:
+        return st.integers(min_value=0, max_value=6)
+    if dom is LAURENT:
+        return st.dictionaries(st.integers(min_value=-2, max_value=2), q, max_size=3).map(
+            lambda terms: Laurent(dom, terms)
+        )
+    if dom is Rt:
+        return st.lists(q, max_size=3).map(dom.from_coeffs)
+    if dom is QQzs:
+        inner = st.lists(q, max_size=2).map(dom.base.from_coeffs)
+        return st.lists(inner, max_size=2).map(dom.from_coeffs)
+    # at most two nonzero coordinates keep the oracle's tame inverses cheap
+    return st.dictionaries(st.integers(min_value=0, max_value=dom.r - 1), q, max_size=2).map(
+        lambda cs: dom.element([cs.get(i, 0) for i in range(dom.r)])
+    )
+
+
+@st.composite
+def prs_operands(draw):
+    """(domain, A, B) in one of four shapes, in either argument order:
+    unrelated operands of degree 0 to 3; A = Q B + R with deg R <= deg B - 2,
+    so the step from (B, R) skips a degree (a non-normal PRS); a common
+    factor of degree 1, so the resultant is 0; and a constant A."""
+    dom = draw(st.sampled_from(PRS_DOMAINS))
+    elem = _elements(dom)
+    nonzero = elem.filter(lambda e: not dom.is_zero(e))
+    ring = PolyRing(dom, "x")
+
+    def poly(max_deg, min_deg=0):
+        deg = draw(st.integers(min_value=min_deg, max_value=max_deg))
+        return ring.from_coeffs(draw(st.lists(elem, min_size=deg, max_size=deg)) + [draw(nonzero)])
+
+    shape = draw(st.sampled_from(["plain", "gap", "common", "constant"]))
+    if shape == "gap":
+        B = poly(3, min_deg=2)
+        A = poly(2) * B + poly(B.degree() - 2)
+    elif shape == "common":
+        C = poly(1, min_deg=1)
+        A, B = poly(2) * C, poly(2) * C
+    else:
+        A, B = poly(0 if shape == "constant" else 3), poly(3)
+    if draw(st.booleans()):
+        A, B = B, A
+    return dom, A, B
+
+
+_GAP_B = P(1, 1, 0, 0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(prs_operands())
+# the step from (B, 9(2x^2 + x + 5)) has delta = 2 and h = lc(B) = 3, and
+# the h it leaves divides the last step: the general h^(1-delta) g^delta
+@example((QQ, x * _GAP_B + P(5, 1, 2), _GAP_B))
+def test_prs_resultant_against_sylvester_elimination(case):
+    dom, A, B = case
+    res = resultant(A, B)
+    assert res == bareiss_det(sylvester_matrix(A, B), dom)
+    sign = dom.from_int((-1) ** (A.degree() * B.degree()))
+    assert resultant(B, A) == dom.mul(sign, res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_rational_discriminant_against_sylvester_elimination(ac, bc, square):
+    # H = A^2 B has a repeated factor when deg A >= 1, so disc(H) = 0
+    A, B = P(*ac), P(*bc)
+    if A.is_zero() or B.is_zero():
+        return
+    H = A * A * B if square else A * B
+    n = H.degree()
+    if n < 1:
+        return
+    want = bareiss_det(sylvester_matrix(H, H.derivative()), QQ) / H.lc()
+    d = discriminant(H)
+    assert d == (-want if n * (n - 1) // 2 % 2 else want)
+    assert type(d) is Fraction
+
+
+def test_rational_pow():
+    assert QQ.pow(Fraction(-2, 3), 3) == Fraction(-8, 27)
+    assert QQ.pow(Fraction(-2, 3), -2) == Fraction(9, 4)
+    assert type(QQ.pow(2, 0)) is Fraction and QQ.pow(2, 0) == 1
+    assert QQ.pow(Fraction(0), 5) == 0
+    with pytest.raises(DivisionByZero):
+        QQ.pow(Fraction(0), -1)
 
 
 def test_integer_ring_exact_division():

@@ -158,14 +158,16 @@ def test_numeric_instances_match_symbolic():
         assert evaluated == list(num.equation.P.cs)
 
 
+# r = 23 lies beyond the CLI's r <= 19
 @pytest.mark.parametrize("fam,r", [(C_ZS, 3), (C_ZS, 5), (H_RR, 3), (H_RR, 5),
-                                   (H_2R, 3), (H_2R, 5), (H_35, None)])
+                                   (H_2R, 3), (H_2R, 5), (H_35, None),
+                                   (C_ZS, 23), (H_RR, 23), (H_2R, 23)])
 def test_closed_forms_exact(fam, r):
     rep = verify_closed_form_disc(fam, r)
     assert rep.equal, f"{fam} r={r}: ratio {rep.ratio}"
 
 
-@pytest.mark.parametrize("r", [3, 5, 7])
+@pytest.mark.parametrize("r", [3, 5, 7, 23])
 def test_closed_form_cplus_documented_gap(r):
     rep = verify_closed_form_disc(C_PLUS, r)
     assert not rep.equal
@@ -177,8 +179,8 @@ def test_closed_form_cplus_documented_gap(r):
 @pytest.mark.parametrize("fam,r", [*((f, r) for f in (C_ZS, H_RR, H_2R) for r in (3, 5, 7)),
                                    (H_RR, 11), (H_2R, 11)])
 def test_certificate_equals_direct_determinant(fam, r):
-    """The direct determinant (over QQ[z][s] for C_zs) is the oracle for the
-    C_S determinant lifted by the weights and evaluated at (z(t), s(t))."""
+    """The direct resultant (over QQ[z][s] for C_zs) is the oracle for the
+    C_S resultant lifted by the weights and evaluated at (z(t), s(t))."""
     direct = hyper_discriminant(build_curve(fam, r).equation)
     assert closed_form_certificate(fam, r).direct == direct
 

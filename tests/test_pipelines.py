@@ -226,7 +226,7 @@ ODD_GOOD_ORACLE = [
 @pytest.mark.parametrize("r", [3, 5, 7])
 @pytest.mark.parametrize("case", PPR_EVEN_CASES)
 def test_ppr_even_disc_equals_determinant(case, r):
-    """The direct determinant is the oracle for factor * certified closed form."""
+    """The direct resultant is the oracle for factor * certified closed form."""
     res = pipeline_ppr_even(case, r)
     assert hyper_discriminant(res.model) == res.disc
 
@@ -243,28 +243,16 @@ def test_odd_good_disc_equals_determinant(z, s, r):
     assert hyper_discriminant(res.model) == res.disc
 
 
-def test_pipelines_take_one_rational_determinant_per_family_and_r(monkeypatch):
-    """No determinant over a Laurent or tame domain; certificates are cached.
-
-    A resultant over QQ[t] hands `bareiss_det` an integer matrix, so each
-    determinant is recorded with the operand base of the resultant taking it.
-    """
-    bases, domains = [], []
-    real_resultant, real_det = algebra_mod.resultant, algebra_mod.bareiss_det
+def test_pipelines_take_one_rational_resultant_per_family_and_r(monkeypatch):
+    """No resultant over a Laurent or tame domain; certificates are cached."""
+    bases = []
+    real = algebra_mod.resultant
 
     def resultant(A, B):
         bases.append(A.base)
-        try:
-            return real_resultant(A, B)
-        finally:
-            bases.pop()
-
-    def bareiss_det(rows, dom):
-        domains.append(bases[-1] if bases else dom)
-        return real_det(rows, dom)
+        return real(A, B)
 
     monkeypatch.setattr(algebra_mod, "resultant", resultant)
-    monkeypatch.setattr(algebra_mod, "bareiss_det", bareiss_det)
     families_mod.closed_form_certificate.cache_clear()
     families_mod._czs_weighted_coeffs.cache_clear()
     for _ in range(2):
@@ -273,9 +261,9 @@ def test_pipelines_take_one_rational_determinant_per_family_and_r(monkeypatch):
             pipeline_ppr_even("v_1mt_pos", r)
             pipeline_odd_good_reduction(1, F(7, 4), r)
         pipeline_35p("v_t_pos")
-    # C_plus and C_zs at r = 3, 5 and H_35, each once over QQ[t] or QQ[s]
-    assert len(domains) == 5
-    assert all(isinstance(d, PolyRing) and d.base == QQ for d in domains)
+        # C_plus and C_zs at r = 3, 5 and H_35, each once over QQ[t] or QQ[s]
+        assert len(bases) == 5
+    assert all(isinstance(b, PolyRing) and b.base == QQ for b in bases)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,14 @@ min(len a, len b) * max|a_i| * max|b_j| < 2^(B-1) (see `_rational_product`).
 Products over every other base (QQ[t] as the base of QQ[t][x], tame
 fields, finite fields) run the schoolbook loop, whose inner products over
 QQ are packed in turn.
+
+A closed form in one variable t with integer constants, written against
+the domain protocol, is evaluated the same way by `kronecker_coeffs`: once
+at t = 1 in a majorant domain (`_OneNorm`: sub is add, neg is the
+identity, from_int is abs), which bounds the one-norm of the result, and
+once over ZZ at t = 2^K with K from that bound, so its coefficients are
+the balanced base-2^K digits of one integer.  `_unpack` reads the digits
+of any packed value in time linear in its size.
 """
 
 from fractions import Fraction
@@ -211,6 +219,9 @@ class IntegerRing(Domain):
 
     def mul(self, a, b):
         return a * b
+
+    def from_int(self, n):
+        return n
 
     def exact_div(self, a, b):
         if b == 0:
@@ -645,9 +656,35 @@ def _pack(cs, B: int) -> int:
 
 
 def _unpack(n: int, B: int) -> list[int]:
-    """Balanced base-2^B digits of n, low first, each in [-2^(B-1), 2^(B-1))."""
+    """Balanced base-2^B digits of n (B >= 2), low first, each in
+    [-2^(B-1), 2^(B-1)), with no trailing zero.
+
+    Each digit is cut off the low end by a shift, and no shift touches more
+    than about 16 digits, so the time is linear in the size of n: a larger
+    n is read once from its two's-complement bytes as unsigned groups of 16
+    digits (2B bytes) below a signed top part of fewer than 16 digits.  A
+    group takes 16 digits and passes its carry (0 or 1) to the next one, and
+    the top part plus the last carry takes the remaining digits.  The last
+    digit is nonzero: with g groups |n| >= 2^(16Bg-2), more than 16g - 1
+    balanced digits can hold.
+    """
     half, mask = 1 << (B - 1), (1 << B) - 1
     digits = []
+    groups = (n.bit_length() + 1) // (16 * B)
+    if groups:
+        width = 2 * B
+        raw = n.to_bytes((groups + 1) * width, "little", signed=True)
+        n, carry = int.from_bytes(raw[groups * width:], "little", signed=True), 0
+        for i in range(0, groups * width, width):
+            g = int.from_bytes(raw[i:i + width], "little") + carry
+            for _ in range(16):
+                c = g & mask
+                if c >= half:
+                    c -= mask + 1
+                digits.append(c)
+                g = (g - c) >> B
+            carry = g
+        n += carry
     while n:
         c = n & mask
         if c >= half:
@@ -655,6 +692,56 @@ def _unpack(n: int, B: int) -> list[int]:
         digits.append(c)
         n = (n - c) >> B
     return digits
+
+
+class _OneNorm(Domain):
+    """Upper bounds for one-norms, the majorant domain of `kronecker_coeffs`.
+
+    A formula evaluated here at t = 1 bounds ||.||_1 (the sum of the
+    absolute values of the coefficients) of its value in Z[t]: a constant n
+    gives |n|, t gives ||t||_1 = 1, and ||a + b||_1, ||a - b||_1 <=
+    ||a||_1 + ||b||_1, ||a b||_1 <= ||a||_1 ||b||_1.  A quotient has no such
+    bound, so there is no exact_div.
+    """
+
+    zero = 0
+    one = 1
+
+    def add(self, a, b):
+        return a + b
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        return a * b
+
+    def from_int(self, n):
+        return abs(n)
+
+    def from_rational(self, q):
+        return abs(ZZ.from_rational(q))
+
+
+_ONE_NORM = _OneNorm()
+
+
+def kronecker_coeffs(formula) -> list[Fraction]:
+    """Coefficients, low first, of the polynomial in Z[t] that
+    formula(dom, t) computes, as Fractions with no trailing zero.
+
+    `formula` uses only the domain protocol (add, sub, neg, mul, pow,
+    from_int, from_rational), so it runs twice: at t = 1 in `_OneNorm`,
+    which bounds every coefficient by M, and over ZZ at t = 2^K with
+    K = M.bit_length() + 1, so every coefficient is one balanced base-2^K
+    digit of the value (Kronecker substitution, as in `resultant`).  A
+    constant that is not an integer raises InexactDivision in
+    `ZZ.from_rational`; nothing is rounded.
+    """
+    K = formula(_ONE_NORM, 1).bit_length() + 1
+    return [Fraction(c) for c in _unpack(formula(ZZ, 1 << K), K)]
 
 
 def resultant(A: Poly, B: Poly):
@@ -788,15 +875,21 @@ def discriminant(H: Poly):
     n = H.degree()
     if n < 1:
         raise ZeroInput("discriminant needs degree >= 1")
-    negate = (n * (n - 1) // 2) % 2
     base = H.base
     if isinstance(base, RationalField):
         L, ih = _clear(H.cs)
-        res = _subresultant(ih, [i * c for i, c in enumerate(ih)][1:], ZZ)
-        d = ZZ.exact_div(res, ih[-1])
-        return Fraction(-d if negate else d, L ** (2 * n - 2))
+        return Fraction(_integer_discriminant(ih), L ** (2 * n - 2))
     d = base.exact_div(resultant(H, H.derivative()), H.lc())
-    return base.neg(d) if negate else d
+    return base.neg(d) if (n * (n - 1) // 2) % 2 else d
+
+
+def _integer_discriminant(ih) -> int:
+    """(-1)^(n(n-1)/2) Res(H, H') / lc(H) for the integer coefficient list ih
+    of H (low first, nonzero top, n = deg H >= 1), by the PRS over ZZ."""
+    n = len(ih) - 1
+    res = _subresultant(ih, [i * c for i, c in enumerate(ih)][1:], ZZ)
+    d = ZZ.exact_div(res, ih[-1])
+    return -d if (n * (n - 1) // 2) % 2 else d
 
 
 def gcd_monic(A: Poly, B: Poly) -> Poly:

@@ -17,13 +17,29 @@ change over QQ is one homogeneous Horner on Python ints, with X replaced
 by 2^B (Kronecker substitution, as for QQ products and resultants in
 `algebra`); over any other base it costs O(deg^2) ring operations.
 `hyper_discriminant`, the direct resultant, runs on the verified paths
-only over QQ[t] and QQ[s].
+only over QQ[t] and QQ[s].  Over QQ and QQ[t] it never builds R as a
+polynomial: with L the lcm of the denominators of Q and P, L^2 R is built
+on integers (each coefficient in t packed at 2^k), its discriminant runs
+on them, and the leading coefficient, L and 2^(4(g+1)) are divided out
+once at the end.  Any other base builds R (`HyperEq.R`) and takes its
+discriminant.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .algebra import Poly, PolyRing, RationalField, _clear, _unpack, discriminant, poly_str
+from .algebra import (
+    Poly,
+    PolyRing,
+    RationalField,
+    _clear,
+    _integer_discriminant,
+    _pack,
+    _unpack,
+    discriminant,
+    poly_str,
+)
 from .errors import DegreeViolation, SingularChange
 
 
@@ -90,20 +106,95 @@ def equation_str(E: HyperEq, var=None) -> str:
 
 
 def hyper_discriminant(E: HyperEq):
-    """The curve discriminant Delta_E; nonzero iff the curve is nonsingular."""
+    """The curve discriminant Delta_E; nonzero iff the curve is nonsingular.
+
+    Over QQ and QQ[t] it runs on integers (`_rational_hyper_discriminant`);
+    over any other base it builds R = `HyperEq.R` and takes its
+    `discriminant`.
+    """
     base = E.base
     if base.characteristic() == 2:
         raise DegreeViolation("discriminant normalization needs 2 invertible")
+    over_t = isinstance(base, PolyRing) and isinstance(base.base, RationalField)
+    if over_t or isinstance(base, RationalField):
+        return _rational_hyper_discriminant(E, over_t)
     R = E.R()
-    n = R.degree()
-    if n == 2 * E.g + 2:
-        d = discriminant(R)
-    elif n == 2 * E.g + 1:
-        kappa = R.lc()
-        d = base.mul(base.mul(kappa, kappa), discriminant(R))
-    else:
-        raise DegreeViolation(f"deg R = {n}, expected 2g+1 or 2g+2")
+    odd = _odd_degree(R.degree(), E.g)
+    d = discriminant(R)
+    if odd:
+        d = base.mul(base.mul(R.lc(), R.lc()), d)
     return base.exact_div(d, base.from_int(2 ** (4 * (E.g + 1))))
+
+
+def _odd_degree(n: int, g: int) -> bool:
+    """Whether deg R = n is 2g+1 rather than 2g+2; DegreeViolation if neither."""
+    if n not in (2 * g + 1, 2 * g + 2):
+        raise DegreeViolation(f"deg R = {n}, expected 2g+1 or 2g+2")
+    return n == 2 * g + 1
+
+
+def _rational_hyper_discriminant(E: HyperEq, over_t: bool):
+    """Delta_E over QQ (over_t False) or QQ[t], on integers.
+
+    With L the lcm of the denominators of Q and P, L^2 R = 4 L (L P) +
+    (L Q)^2 has coefficients in Z or Z[t].  Over QQ[t] each coefficient of
+    L Q and L P is replaced by its value at t = 2^k (Kronecker substitution,
+    as in `algebra.resultant`), so L^2 R is built on ints.  Its discriminant
+    runs on the same ints (`algebra._integer_discriminant`), and since the
+    discriminant is homogeneous of degree 2n - 2 and lc(L^2 R) = L^2 kappa,
+    Delta_E is that value (times lc(L^2 R)^2 when n = 2g+1) divided once by
+    L^(4n-4) (L^(4n) with the lc^2) and 2^(4(g+1)).
+
+    The bound: the same formula on the one-norms of the coefficients of
+    L Q and L P gives m_i >= ||(L^2 R)_i||_1.  Let N = sum m_i,
+    N' = sum i m_i, M = max(N, N') and bound = N^(n_max-1) M^n_max with
+    n_max = 2g+2.  Every value the PRS keeps and the resultant are minors of
+    the Sylvester matrix of L^2 R (degree n) and its derivative, whose rows
+    have norms at most N and N', so their coefficients in t are at most
+    N^(n-1) N'^n <= bound (Leibniz expansion).  Res / lc is a minor of
+    order 2n - 2 once n times the first row is taken from the first
+    derivative row, so its coefficients are at most n N^(n-1) N'^(n-1),
+    within bound as n <= N' (the leading coefficient is a nonzero integer
+    polynomial).  When n = 2g+1 < n_max, times lc^2, with ||lc||_1 <= N,
+    they are at most n N^(n+1) N'^(n-1) <= N^(n_max-1) M^(n_max), since
+    n <= M.  With k = bound.bit_length() + 1 every such coefficient, and
+    every m_i, is a balanced base-2^k digit, so the argument of `resultant`
+    applies.
+    """
+    g = E.g
+    if over_t:
+        lists = [[list(c.cs) for c in F.cs] for F in (E.Q, E.P)]
+    else:
+        lists = [[[c] for c in F.cs] for F in (E.Q, E.P)]
+    L = lcm(*(a.denominator for F in lists for cs in F for a in cs))
+    iq, ip = ([[a.numerator * (L // a.denominator) for a in cs] for cs in F] for F in lists)
+    k = 0  # over QQ each list has one entry, which `_pack` returns at any k
+    if over_t:
+        m = _r_coeffs([sum(map(abs, cs)) for cs in iq], [sum(map(abs, cs)) for cs in ip], L)
+        N, N1 = sum(m), sum(i * c for i, c in enumerate(m))
+        n_max = 2 * g + 2
+        k = (N ** (n_max - 1) * max(N, N1) ** n_max).bit_length() + 1
+    r = _r_coeffs([_pack(cs, k) for cs in iq], [_pack(cs, k) for cs in ip], L)
+    while r and not r[-1]:
+        r.pop()
+    n = len(r) - 1
+    odd = _odd_degree(n, g)
+    d = _integer_discriminant(r)
+    if odd:
+        d *= r[-1] * r[-1]
+    denom = L ** (4 * n if odd else 4 * n - 4) << (4 * (g + 1))
+    if not over_t:
+        return Fraction(d, denom)
+    return Poly(E.base, [Fraction(c, denom) for c in _unpack(d, k)], normalized=True)
+
+
+def _r_coeffs(q, p, L) -> list:
+    """4 L p + q^2 for coefficient lists q, p (low first), untrimmed."""
+    r = [4 * L * c for c in p] + [0] * (2 * len(q) - 1 - len(p))
+    for i, a in enumerate(q):
+        for j, b in enumerate(q):
+            r[i + j] += a * b
+    return r
 
 
 def infinity_patch(E: HyperEq) -> HyperEq:

@@ -20,9 +20,12 @@ sources print).  `verify_closed_form_disc` compares a computed curve
 discriminant of each family, one resultant per (family, r), with its
 printed closed form and reports an exact structured diff when the printed
 form follows the bare polynomial-discriminant normalization instead
-(ratio 2^(4g): the C_r^+ family).  `certified_disc` hands the pipelines
-the certified closed form at their parameter, so no resultant runs over
-a Laurent or tame domain.
+(ratio 2^(4g): the C_r^+ family).  Past that resultant every closed form
+is an integer computation: the formulas in t run over ZZ at t = 2^K
+(`algebra.kronecker_coeffs`) and are read back into QQ[t] once, and the
+C_zs forms over QQ[z][s] are lifted from their z = 1 slice by the weights
+(1, 2, r).  `certified_disc` hands the pipelines the certified closed form
+at their parameter, so no resultant runs over a Laurent or tame domain.
 """
 
 from dataclasses import dataclass
@@ -35,6 +38,7 @@ from .algebra import (
     PrimeField,
     QQ,
     check_odd_prime,
+    kronecker_coeffs,
     poly_sqrt,
 )
 from .curves import HyperEq, hyper_discriminant
@@ -381,20 +385,36 @@ def _czs_weighted_coeffs(r: int) -> tuple:
     2i + rj = r(r-1): j is even, at most r-1, and fixes i.  The slice
     z = 1, one C_S resultant over QQ[s], thus gives the whole form.
     """
-    slice_ = hyper_discriminant(build_curve(C_S, r).equation)
+    return _even_slice(r, hyper_discriminant(build_curve(C_S, r).equation).cs, C_ZS)
+
+
+def _even_slice(r: int, cs, claim: str) -> tuple:
+    """The coefficients of s^0, s^2, ..., s^(2m) of a z = 1 slice cs (low
+    first), after checking that it has no odd and no higher term."""
     m = (r - 1) // 2
-    if slice_.degree() > 2 * m or any(slice_.coeff(j) for j in range(1, 2 * m, 2)):
+    if len(cs) > 2 * m + 1 or any(cs[1::2]):
         raise PipelineAssertionFailed(
-            f"[C_zs/r={r}] violated claim: discriminant isobaric for weights (1, 2, r)"
+            f"[{claim}/r={r}] violated claim: discriminant isobaric for weights (1, 2, r)"
         )
-    return tuple(slice_.coeff(2 * k) for k in range(m + 1))
+    return tuple(cs[0::2]) + (QQ.zero,) * (m + 1 - (len(cs) + 1) // 2)
+
+
+def _czs_lift(r: int, ring: PolyRing, a) -> Poly:
+    """sum_k a_k z^(r(m-k)) s^(2k) in QQ[z][s] (`ring`): the form of weight
+    r(r-1) whose z = 1 slice has the coefficients a at s^0, s^2, ..."""
+    zring, m = ring.base, (r - 1) // 2
+    cs = [zring.zero] * (2 * m + 1)
+    for k, ak in enumerate(a):
+        cs[2 * k] = Poly(zring, [QQ.zero] * (r * (m - k)) + [ak])
+    return Poly(ring, cs)
 
 
 def czs_disc_at(r: int, dom, z, s):
     """The C_zs discriminant at (z, s) in `dom`, by Horner in s^2 and z^r.
 
     At `zs_params` it is the H_rr or H_2r discriminant: their x-polynomial
-    is the monic degree-r C_zs one.
+    is the monic degree-r C_zs one.  `verify_closed_form_disc` runs it over
+    ZZ (`kronecker_coeffs`), so its constants a_k must be integers.
     """
     zr, s2 = dom.pow(z, r), dom.mul(s, s)
     acc, zr_pow = dom.zero, dom.one
@@ -408,24 +428,32 @@ def verify_closed_form_disc(family: str, r: int | None = None) -> DiscReport:
     """Compare the computed curve discriminant with the printed closed form.
 
     C_plus and H_35 take their own QQ[t] resultant; C_zs, H_rr and H_2r
-    share the C_S one (`czs_disc_at`).  The comparison is exact.  When they
-    differ, the exact ratio is reported; a ratio of `printed_gap` is a
-    documented mismatch rather than a failure.
+    share the C_S one (`_czs_weighted_coeffs`), so there is one resultant
+    per (family, r).  The closed forms in t (`czs_disc_at` at `zs_params`,
+    and `printed_disc`) are exact integer computations at t = 2^K
+    (`kronecker_coeffs`), read back once into QQ[t].  Over QQ[z][s] both
+    sides are lifted from their z = 1 slice by the weights (1, 2, r): the
+    computed one is isobaric by `_czs_weighted_coeffs`, the printed one,
+    sign 2^(2(r-1)) r^r (s^2 - 4 z^r)^m, by inspection.  The comparison is
+    exact.  When they differ, the exact ratio is reported; a ratio of
+    `printed_gap` is a documented mismatch rather than a failure.
     """
     if family not in CLOSED_FORM_FAMILIES:
         raise ValueError(f"{family} has no printed closed form")
-    if family in (C_PLUS, H_35):
-        inst = build_curve(family, r)
-        dom, params = inst.equation.base, inst.params["t"]
-        direct = hyper_discriminant(inst.equation)
-    elif family == C_ZS:
-        z, s, dom = _resolve_zs(None, None, None)
-        params = (z, s)
-        direct = czs_disc_at(r, dom, z, s)
+    if family == C_ZS:
+        dom = _resolve_zs(None, None, None)[2]
+        direct = _czs_lift(r, dom, _czs_weighted_coeffs(r))
+        slice_ = kronecker_coeffs(lambda d, s: printed_disc(C_ZS, r, d, (d.one, s)))
+        printed = _czs_lift(r, dom, _even_slice(r, slice_, "C_zs printed"))
     else:
-        params, dom = _resolve_single(None, None, "t")
-        direct = czs_disc_at(r, dom, *zs_params(family, r, dom, params))
-    printed = printed_disc(family, r, dom, params)
+        dom = _resolve_single(None, None, "t")[1]
+        if family in (C_PLUS, H_35):
+            direct = hyper_discriminant(build_curve(family, r).equation)
+        else:
+            direct = Poly(dom, kronecker_coeffs(
+                lambda d, t: czs_disc_at(r, d, *zs_params(family, r, d, t))), normalized=True)
+        printed = Poly(dom, kronecker_coeffs(lambda d, t: printed_disc(family, r, d, t)),
+                       normalized=True)
     equal = direct == printed
     ratio, documented, note = None, False, ""
     if not equal:

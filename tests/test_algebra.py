@@ -12,9 +12,12 @@ from frey2.algebra import (
     QQ,
     ZZ,
     bareiss_det,
+    _ONE_NORM,
+    _unpack,
     discriminant,
     ext_gcd,
     gcd_monic,
+    kronecker_coeffs,
     poly_sqrt,
     resultant,
     sylvester_matrix,
@@ -390,6 +393,109 @@ def test_integer_ring_exact_division():
         ZZ.exact_div(7, 2)
     with pytest.raises(DivisionByZero):
         ZZ.exact_div(1, 0)
+
+
+def test_integer_ring_from_rational():
+    assert ZZ.from_int(-5) == -5
+    for q in (Fraction(3), Fraction(-12, 4), 7):
+        assert ZZ.from_rational(q) == q and type(ZZ.from_rational(q)) is int
+    for q in (Fraction(3, 2), Fraction(-1, 3)):
+        with pytest.raises(InexactDivision):
+            ZZ.from_rational(q)
+
+
+# --- balanced digits and evaluation at 2^K --------------------------------
+
+
+def _unpack_loop(n, B):
+    """Reference: balanced base-2^B digits of n by one shift per digit
+    (quadratic in the size of n)."""
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    digits = []
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        digits.append(c)
+        n = (n - c) >> B
+    return digits
+
+
+@st.composite
+def digit_lists(draw):
+    """(digits, B): balanced base-2^B digits, extremes drawn often."""
+    B = draw(st.one_of(st.integers(2, 10), st.integers(2, 300), st.sampled_from([8, 16, 64])))
+    half = 1 << (B - 1)
+    digit = st.one_of(st.sampled_from([0, 1, -1, half - 1, -half]), st.integers(-half, half - 1))
+    return draw(st.lists(digit, max_size=40)), B
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_lists(), st.integers(-(2**200), 2**200))
+@example(([2**79 - 1, -(2**79)] * 1500, 80), 0)  # 3,000 digits of 80 bits
+@example(([0] * 15 + [1], 2), -(2**30))  # the least values that take a group
+def test_unpack_against_the_shift_loop(case, n):
+    digits, B = case
+    packed = sum(d << (B * i) for i, d in enumerate(digits))
+    want = list(digits)
+    while want and not want[-1]:
+        want.pop()
+    assert _unpack(packed, B) == _unpack_loop(packed, B) == want
+    assert _unpack(n, B) == _unpack_loop(n, B)
+    assert sum(d << (B * i) for i, d in enumerate(_unpack(n, B))) == n
+
+
+# Random integer expressions in t, as trees, evaluated through the domain
+# protocol like the closed-form formulas of `families`.
+expressions = st.recursive(
+    st.one_of(
+        st.just(("t",)),
+        st.tuples(st.sampled_from(["int", "rat"]), st.integers(-(2**40), 2**40)),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("pow"), sub, st.integers(0, 5)),
+    ),
+    max_leaves=12,
+)
+
+
+def _evaluate(expr, dom, t):
+    op = expr[0]
+    if op == "t":
+        return t
+    if op == "int":
+        return dom.from_int(expr[1])
+    if op == "rat":
+        return dom.from_rational(Fraction(2 * expr[1], 2))
+    if op == "neg":
+        return dom.neg(_evaluate(expr[1], dom, t))
+    if op == "pow":
+        return dom.pow(_evaluate(expr[1], dom, t), expr[2])
+    a, b = _evaluate(expr[1], dom, t), _evaluate(expr[2], dom, t)
+    return getattr(dom, op)(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions)
+@example(("sub", ("pow", ("t",), 3), ("pow", ("t",), 3)))  # zero
+@example(("int", 2**40 - 1))  # a coefficient at the bound, in the top bit
+@example(("mul", ("int", -(2**40)), ("pow", ("sub", ("t",), ("int", 1)), 5)))
+def test_kronecker_coeffs_against_poly_arithmetic(expr):
+    """The one-norm majorant bounds every coefficient, and the packed
+    evaluation equals the same formula run on QQ[t] polynomials."""
+    ref = _evaluate(expr, Rt, Rt.gen)
+    bound = _evaluate(expr, _ONE_NORM, 1)
+    assert sum(abs(c) for c in ref.cs) <= bound
+    got = kronecker_coeffs(lambda dom, t: _evaluate(expr, dom, t))
+    assert got == list(ref.cs) and all(type(c) is Fraction for c in got)
+
+
+def test_kronecker_coeffs_never_rounds():
+    with pytest.raises(InexactDivision):
+        kronecker_coeffs(lambda dom, t: dom.mul(dom.from_rational(Fraction(1, 2)), t))
+    assert kronecker_coeffs(lambda dom, t: dom.mul(dom.from_rational(Fraction(6, 3)), t)) == [0, 2]
 
 
 @pytest.mark.parametrize("dom", [QQ, Rt])

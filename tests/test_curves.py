@@ -1,10 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from frey2.algebra import Poly, PolyRing, QQ
+from frey2.algebra import Poly, PolyRing, QQ, discriminant
 from frey2.curves import (
     HyperEq,
     MobiusChange,
@@ -61,6 +61,58 @@ def test_two_formulas_agree_on_monic_odd(rng):
         direct = hyper_discriminant(E)
         other = F(2 ** (4 * g)) * discriminant(P + (Q * Q).scale(F(1, 4)))
         assert direct == other
+
+
+def _r_based_discriminant(E):
+    """Reference: Delta_E from R = 4P + Q^2 by the generic formula."""
+    base = E.base
+    R = E.R()
+    d = discriminant(R)
+    if R.degree() == 2 * E.g + 1:
+        d = base.mul(base.mul(R.lc(), R.lc()), d)
+    return base.exact_div(d, base.from_int(2 ** (4 * (E.g + 1))))
+
+
+@st.composite
+def rational_curves(draw):
+    """(Q, P, g) over QQ (g = 1..3) or QQ[t] (g = 1, 2) with non-integral
+    coefficients, deg Q <= g+1 and deg P in {2g+1, 2g+2}."""
+    over_t = draw(st.booleans())
+    g = draw(st.integers(1, 2 if over_t else 3))
+    q = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9]))
+    if over_t:
+        ring = Rxt
+        element = st.lists(q, max_size=3).map(Rt.from_coeffs)
+    else:
+        ring, element = R, q
+    top = draw(st.sampled_from([2 * g + 1, 2 * g + 2]))
+    lead = draw(element.filter(lambda c: not ring.base.is_zero(c)))
+    Q = Poly(ring, draw(st.lists(element, max_size=g + 2)))
+    P = Poly(ring, draw(st.lists(element, min_size=top, max_size=top)) + [lead])
+    return Q, P, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_curves())
+# 4P + Q^2 loses its x^4 term: deg R = 2g+1 with deg P = 2g+2
+@example((R.from_coeffs([0, 0, 1]), R.from_coeffs([F(1, 3), 0, 0, F(5, 2), F(-1, 4)]), 1))
+@example((Rxt.from_coeffs([0, 0, t]),
+          Rxt.from_coeffs([1, 0, 0, t + F(1, 2), (t * t).scale(F(-1, 4))]), 1))
+# a singular curve: R = 4(x - 1/2)^2 (x + 3)
+@example((R.zero, R.from_coeffs([F(3, 4), F(-11, 4), 2, 1]), 1))
+def test_integer_discriminant_against_the_r_formula(case):
+    Q, P, g = case
+    E = HyperEq(Q, P, g)
+    if E.R().degree() < 2 * g + 1:
+        with pytest.raises(DegreeViolation):
+            hyper_discriminant(E)
+        return
+    got = hyper_discriminant(E)
+    assert got == _r_based_discriminant(E)
+    if E.base is QQ:
+        assert type(got) is F
+    else:
+        assert all(type(c) is F for c in got.cs)
 
 
 def test_infinity_patch_examples():

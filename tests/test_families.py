@@ -19,6 +19,7 @@ from frey2.families import (
     build_curve,
     c_coefficients,
     closed_form_certificate,
+    czs_disc_at,
     czs_polynomial,
     darmon_f,
     irreducibility_witness,
@@ -174,6 +175,25 @@ def test_closed_form_cplus_documented_gap(r):
     assert rep.documented_mismatch
     g = (r - 1) // 2
     assert rep.ratio == PolyRing(QQ, "t").from_rational(F(2 ** (4 * g)))
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 11, 13, 19])
+def test_packed_closed_forms_equal_the_formulas_over_polynomials(r):
+    """`verify_closed_form_disc` evaluates the closed forms on integers at
+    t = 2^K (and lifts the C_zs ones from their z = 1 slice); the oracle runs
+    the same formulas on QQ[t] and QQ[z][s] polynomials."""
+    z, s, Rzs = families_mod._resolve_zs(None, None, None)
+    rep = verify_closed_form_disc(C_ZS, r)
+    assert rep.direct == czs_disc_at(r, Rzs, z, s)
+    assert rep.printed == printed_disc(C_ZS, r, Rzs, (z, s))
+    Rt = PolyRing(QQ, "t")
+    t = Rt.gen
+    for fam in (H_RR, H_2R):
+        rep = verify_closed_form_disc(fam, r)
+        assert rep.direct == czs_disc_at(r, Rt, *zs_params(fam, r, Rt, t)), fam
+        assert rep.printed == printed_disc(fam, r, Rt, t), fam
+    for fam, r_ in ((C_PLUS, r), (H_35, None)):
+        assert verify_closed_form_disc(fam, r_).printed == printed_disc(fam, r_, Rt, t), fam
 
 
 @pytest.mark.parametrize("fam,r", [*((f, r) for f in (C_ZS, H_RR, H_2R) for r in (3, 5, 7)),

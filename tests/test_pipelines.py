@@ -244,15 +244,25 @@ def test_odd_good_disc_equals_determinant(z, s, r):
 
 
 def test_pipelines_take_one_rational_resultant_per_family_and_r(monkeypatch):
-    """No resultant over a Laurent or tame domain; certificates are cached."""
-    bases = []
-    real = algebra_mod.resultant
+    """No resultant over a Laurent or tame domain; certificates are cached.
+
+    Each certificate's resultant is a curve discriminant over QQ[t] or
+    QQ[s], which runs on integers and so never calls `algebra.resultant`.
+    """
+    bases, resultants = [], []
+    real_resultant = algebra_mod.resultant
+    real_disc = families_mod.hyper_discriminant
 
     def resultant(A, B):
-        bases.append(A.base)
-        return real(A, B)
+        resultants.append(A.base)
+        return real_resultant(A, B)
+
+    def hyper_discriminant(E):
+        bases.append(E.base)
+        return real_disc(E)
 
     monkeypatch.setattr(algebra_mod, "resultant", resultant)
+    monkeypatch.setattr(families_mod, "hyper_discriminant", hyper_discriminant)
     families_mod.closed_form_certificate.cache_clear()
     families_mod._czs_weighted_coeffs.cache_clear()
     for _ in range(2):
@@ -264,6 +274,7 @@ def test_pipelines_take_one_rational_resultant_per_family_and_r(monkeypatch):
         # C_plus and C_zs at r = 3, 5 and H_35, each once over QQ[t] or QQ[s]
         assert len(bases) == 5
     assert all(isinstance(b, PolyRing) and b.base == QQ for b in bases)
+    assert resultants == []
 
 
 @pytest.mark.parametrize(

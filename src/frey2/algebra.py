@@ -10,23 +10,19 @@ Resultants are computed by the subresultant polynomial remainder sequence
 (PRS; Collins 1967, Cohen GTM 138 Algorithm 3.3.7): O(n^2) ring operations
 for operands of degree n, where the determinant of the Sylvester matrix
 costs O(n^3).  Its only divisions are exact, so every intermediate value
-stays inside the coefficient domain and the result is bit-exact.  Over QQ
-and QQ[t] the PRS runs on integers (`ZZ`): each operand is cleared of its
-denominators once and t is replaced by 2^B, with B large enough that every
-coefficient the PRS meets is one balanced base-2^B digit of an integer
-(Kronecker substitution; see `resultant`).  This is exact because
-evaluation at 2^B is a ring homomorphism and every such coefficient is a
-minor of the Sylvester matrix, bounded below 2^(B-1) by the Leibniz
-expansion.  Other domains (tame fields, Laurent rings, finite fields,
-QQ[z][s]) run the PRS on their own elements; no verified path does that
-any more (see `families`), but the tests use it.  `sylvester_matrix` and
-fraction-free Bareiss elimination (`bareiss_det`) stay as the test oracle
-of `resultant`.
+stays inside the coefficient domain and the result is bit-exact.
+`resultant` and `discriminant` run it on the elements of any domain; no
+verified path calls them (see `families`), but the tests use them.  The
+curve discriminants over QQ and QQ[t] run the same PRS on integers:
+cleared of their denominators, with t replaced by 2^k (Kronecker
+substitution; `curves._rational_hyper_discriminant` holds the argument
+that this is exact).  `sylvester_matrix` and fraction-free Bareiss
+elimination (`bareiss_det`) stay as the test oracle of `resultant`.
 
-Products of polynomials over QQ are packed the same way: each operand is
-cleared of its denominators (L_a, L_b) and evaluated at 2^B, the two
-integers are multiplied once, and the digits divided by L_a*L_b are the
-coefficients.  Every coefficient of the cleared product is bounded by
+Products of polynomials over QQ are packed too: each operand is cleared
+of its denominators (L_a, L_b) and evaluated at 2^B, the two integers are
+multiplied once, and the digits divided by L_a*L_b are the coefficients.
+Every coefficient of the cleared product is bounded by
 min(len a, len b) * max|a_i| * max|b_j| < 2^(B-1) (see `_rational_product`).
 Products over every other base (QQ[t] as the base of QQ[t][x], tame
 fields, finite fields) run the schoolbook loop, whose inner products over
@@ -624,13 +620,14 @@ def bareiss_det(rows, dom: Domain):
 def _rational_product(a, b) -> list[Fraction]:
     """Coefficients of the product of two nonzero QQ polynomials, low first.
 
-    Kronecker substitution, as in `resultant`: a and b are multiplied by
-    the lcm L_a, L_b of their denominators, and every coefficient of the
-    cleared product is a sum of at most min(len a, len b) terms a_i*b_j, so
-    its absolute value is at most bound = min(len a, len b) * max|a_i| *
-    max|b_j| < 2^(B-1) with B = bound.bit_length() + 1.  Each is therefore
-    one balanced base-2^B digit of the integer product of the values at
-    2^B, and the digits divided by L_a*L_b are the exact coefficients.
+    Kronecker substitution, as in `curves._rational_hyper_discriminant`: a
+    and b are multiplied by the lcm L_a, L_b of their denominators, and
+    every coefficient of the cleared product is a sum of at most
+    min(len a, len b) terms a_i*b_j, so its absolute value is at most
+    bound = min(len a, len b) * max|a_i| * max|b_j| < 2^(B-1) with
+    B = bound.bit_length() + 1.  Each is therefore one balanced base-2^B
+    digit of the integer product of the values at 2^B, and the digits
+    divided by L_a*L_b are the exact coefficients.
     The leading digit is the product of the nonzero leading coefficients,
     so the result has len a + len b - 1 entries and no trailing zeros.
     """
@@ -736,64 +733,28 @@ def kronecker_coeffs(formula) -> list[Fraction]:
     from_int, from_rational), so it runs twice: at t = 1 in `_OneNorm`,
     which bounds every coefficient by M, and over ZZ at t = 2^K with
     K = M.bit_length() + 1, so every coefficient is one balanced base-2^K
-    digit of the value (Kronecker substitution, as in `resultant`).  A
-    constant that is not an integer raises InexactDivision in
-    `ZZ.from_rational`; nothing is rounded.
+    digit of the value (Kronecker substitution, as in
+    `curves._rational_hyper_discriminant`).  A constant that is not an
+    integer raises InexactDivision in `ZZ.from_rational`; nothing is
+    rounded.
     """
     K = formula(_ONE_NORM, 1).bit_length() + 1
     return [Fraction(c) for c in _unpack(formula(ZZ, 1 << K), K)]
 
 
 def resultant(A: Poly, B: Poly):
-    """Res(A, B) over the coefficient domain, by the subresultant PRS.
-
-    Every domain runs `_subresultant`, O(deg A * deg B) ring operations in
-    place of the O((deg A + deg B)^3) of Sylvester elimination.  Over QQ
-    and QQ[t] it runs on integers.  With n = deg A and m = deg B, A and B
-    are multiplied by the lcm L_A, L_B of their denominators, so
-    Res(L_A A, L_B B) = L_A^m L_B^n Res(A, B) and the cleared operands have
-    coefficients in Z or Z[t].  Over QQ[t] every coefficient is then
-    replaced by its integer value at 2^k (Kronecker substitution, Kronecker
-    1882), where k = bound.bit_length() + 1 and bound = ||L_A A||_1^m
-    ||L_B B||_1^n (||.||_1 sums the absolute values of all coefficients;
-    the bound is the product of the norms of the Sylvester rows).  Each
-    remainder the PRS keeps, each g and h, and the resultant itself have
-    subresultant coefficients: minors of m - j rows of A and n - j rows of
-    B in the Sylvester matrix, whose coefficients in t are at most
-    bound < 2^(k-1) in absolute value by the Leibniz expansion.  Such a
-    polynomial is zero exactly when its value at 2^k is, so the PRS on the
-    values takes the same degree sequence, and the resultant is one
-    balanced base-2^k digit per coefficient.  The steps in between need no
-    bound: evaluation at 2^k is a ring homomorphism, a pseudo-remainder is
-    a kept remainder times the nonzero g h^delta, and it is unique in any
-    integral domain once the divisor's leading coefficient is nonzero.  The
-    integer result (over QQ) or its digits (over QQ[t]) divided by
-    L_A^m L_B^n give the result.
+    """Res(A, B) over the coefficient domain, by the subresultant PRS
+    (`_subresultant`): O(deg A * deg B) ring operations in place of the
+    O((deg A + deg B)^3) of Sylvester elimination, with every value inside
+    the domain.  Res(0, B) = Res(A, 0) = 0 for a nonzero other operand, and
+    Res(0, 0) raises ZeroInput; a degree-0 operand c gives c^(degree of the
+    other operand).
     """
     if A.is_zero() and B.is_zero():
         raise ZeroInput("resultant of (0, 0)")
-    base = A.base
     if A.is_zero() or B.is_zero():
-        return base.zero
-    n, m = A.degree(), B.degree()
-    if isinstance(base, RationalField):
-        (La, ia), (Lb, ib) = _clear(A.cs), _clear(B.cs)
-        return Fraction(_subresultant(ia, ib, ZZ), La**m * Lb**n)
-    if not (isinstance(base, PolyRing) and isinstance(base.base, RationalField)):
-        return _subresultant(A.cs, B.cs, base)
-    (La, ia, norm_a), (Lb, ib, norm_b) = _cleared(A), _cleared(B)
-    k = (norm_a**m * norm_b**n).bit_length() + 1
-    res = _subresultant([_pack(cs, k) for cs in ia], [_pack(cs, k) for cs in ib], ZZ)
-    denom = La**m * Lb**n
-    return Poly(base, [Fraction(c, denom) for c in _unpack(res, k)], normalized=True)
-
-
-def _cleared(P: Poly):
-    """(L, integer coefficient lists of L*P, ||L*P||_1) for P over QQ[t], with
-    L the lcm of all denominators; one list per coefficient of P."""
-    L = lcm(*(q.denominator for c in P.cs for q in c.cs))
-    ints = [[q.numerator * (L // q.denominator) for q in c.cs] for c in P.cs]
-    return L, ints, sum(abs(q) for cs in ints for q in cs)
+        return A.base.zero
+    return _subresultant(A.cs, B.cs, A.base)
 
 
 def _subresultant(a, b, dom: Domain):
@@ -863,33 +824,16 @@ def _prem(a, b, dom: Domain):
 
 
 def discriminant(H: Poly):
-    """(-1)^(n(n-1)/2) Res(H, H') / lc(H) for n = deg H >= 1.
-
-    Over QQ, H is cleared once: with L the lcm of its denominators, L*H and
-    its derivative have integer coefficients, the PRS runs on them, and
-    disc(H) = disc(L*H) / L^(2n-2), since the discriminant is homogeneous of
-    degree 2n - 2 in the coefficients.
-    """
+    """(-1)^(n(n-1)/2) Res(H, H') / lc(H) for n = deg H >= 1, over the
+    coefficient domain of H."""
     if H.is_zero():
         raise ZeroInput("discriminant of the zero polynomial")
     n = H.degree()
     if n < 1:
         raise ZeroInput("discriminant needs degree >= 1")
     base = H.base
-    if isinstance(base, RationalField):
-        L, ih = _clear(H.cs)
-        return Fraction(_integer_discriminant(ih), L ** (2 * n - 2))
     d = base.exact_div(resultant(H, H.derivative()), H.lc())
     return base.neg(d) if (n * (n - 1) // 2) % 2 else d
-
-
-def _integer_discriminant(ih) -> int:
-    """(-1)^(n(n-1)/2) Res(H, H') / lc(H) for the integer coefficient list ih
-    of H (low first, nonzero top, n = deg H >= 1), by the PRS over ZZ."""
-    n = len(ih) - 1
-    res = _subresultant(ih, [i * c for i, c in enumerate(ih)][1:], ZZ)
-    d = ZZ.exact_div(res, ih[-1])
-    return -d if (n * (n - 1) // 2) % 2 else d
 
 
 def gcd_monic(A: Poly, B: Poly) -> Poly:

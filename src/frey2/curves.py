@@ -14,15 +14,16 @@ discriminants without recomputing resultants: factor times the certified
 closed form of their starting curve.  A diagonal change (x scaled, no
 translation or inversion) costs O(deg) coefficient operations.  Any other
 change over QQ is one homogeneous Horner on Python ints, with X replaced
-by 2^B (Kronecker substitution, as for QQ products and resultants in
-`algebra`); over any other base it costs O(deg^2) ring operations.
+by 2^B (Kronecker substitution, as for QQ products in `algebra`); over
+any other base it costs O(deg^2) ring operations.
 `hyper_discriminant`, the direct resultant, runs on the verified paths
 only over QQ[t] and QQ[s].  Over QQ and QQ[t] it never builds R as a
 polynomial: with L the lcm of the denominators of Q and P, L^2 R is built
-on integers (each coefficient in t packed at 2^k), its discriminant runs
-on them, and the leading coefficient, L and 2^(4(g+1)) are divided out
-once at the end.  Any other base builds R (`HyperEq.R`) and takes its
-discriminant.
+on integers (each coefficient in t packed at 2^k), the subresultant PRS
+runs on them, and the leading coefficient, L and 2^(4(g+1)) are divided
+out once at the end; `_rational_hyper_discriminant` proves the packing
+exact.  Any other base builds R (`HyperEq.R`) and takes its
+`algebra.discriminant`.
 """
 
 from dataclasses import dataclass
@@ -33,9 +34,10 @@ from .algebra import (
     Poly,
     PolyRing,
     RationalField,
+    ZZ,
     _clear,
-    _integer_discriminant,
     _pack,
+    _subresultant,
     _unpack,
     discriminant,
     poly_str,
@@ -139,18 +141,32 @@ def _rational_hyper_discriminant(E: HyperEq, over_t: bool):
     With L the lcm of the denominators of Q and P, L^2 R = 4 L (L P) +
     (L Q)^2 has coefficients in Z or Z[t].  Over QQ[t] each coefficient of
     L Q and L P is replaced by its value at t = 2^k (Kronecker substitution,
-    as in `algebra.resultant`), so L^2 R is built on ints.  Its discriminant
-    runs on the same ints (`algebra._integer_discriminant`), and since the
+    Kronecker 1882), so L^2 R is built on ints.  Its discriminant
+    (-1)^(n(n-1)/2) Res(L^2 R, (L^2 R)') / lc runs on the same ints, by the
+    subresultant PRS over ZZ (`algebra._subresultant`), and since the
     discriminant is homogeneous of degree 2n - 2 and lc(L^2 R) = L^2 kappa,
     Delta_E is that value (times lc(L^2 R)^2 when n = 2g+1) divided once by
     L^(4n-4) (L^(4n) with the lc^2) and 2^(4(g+1)).
 
+    The packing is exact.  Evaluation at 2^k is a ring homomorphism
+    Z[t] -> Z, so the PRS on the values is the image of the PRS over Z[t]
+    as long as both take the same degree sequence.  They do: each remainder
+    the PRS keeps, each g and h, and the resultant itself are subresultant
+    coefficients, minors of the Sylvester matrix, whose coefficients in t
+    are below 2^(k-1) in absolute value (the bound below), so such a
+    polynomial is zero exactly when its value at 2^k is, and it is one
+    balanced base-2^k digit per coefficient.  The steps in between need no
+    bound: a pseudo-remainder is a kept remainder times the nonzero
+    g h^delta, and it is unique in any integral domain once the divisor's
+    leading coefficient is nonzero.
+
     The bound: the same formula on the one-norms of the coefficients of
-    L Q and L P gives m_i >= ||(L^2 R)_i||_1.  Let N = sum m_i,
-    N' = sum i m_i, M = max(N, N') and bound = N^(n_max-1) M^n_max with
-    n_max = 2g+2.  Every value the PRS keeps and the resultant are minors of
-    the Sylvester matrix of L^2 R (degree n) and its derivative, whose rows
-    have norms at most N and N', so their coefficients in t are at most
+    L Q and L P gives m_i >= ||(L^2 R)_i||_1 (||.||_1 sums the absolute
+    values of the coefficients in t).  Let N = sum m_i, N' = sum i m_i,
+    M = max(N, N') and bound = N^(n_max-1) M^n_max with n_max = 2g+2.
+    Every value the PRS keeps and the resultant are minors of the Sylvester
+    matrix of L^2 R (degree n) and its derivative, whose rows have norms at
+    most N and N', so their coefficients in t are at most
     N^(n-1) N'^n <= bound (Leibniz expansion).  Res / lc is a minor of
     order 2n - 2 once n times the first row is taken from the first
     derivative row, so its coefficients are at most n N^(n-1) N'^(n-1),
@@ -158,8 +174,7 @@ def _rational_hyper_discriminant(E: HyperEq, over_t: bool):
     polynomial).  When n = 2g+1 < n_max, times lc^2, with ||lc||_1 <= N,
     they are at most n N^(n+1) N'^(n-1) <= N^(n_max-1) M^(n_max), since
     n <= M.  With k = bound.bit_length() + 1 every such coefficient, and
-    every m_i, is a balanced base-2^k digit, so the argument of `resultant`
-    applies.
+    every m_i, is a balanced base-2^k digit.
     """
     g = E.g
     if over_t:
@@ -179,7 +194,9 @@ def _rational_hyper_discriminant(E: HyperEq, over_t: bool):
         r.pop()
     n = len(r) - 1
     odd = _odd_degree(n, g)
-    d = _integer_discriminant(r)
+    d = ZZ.exact_div(_subresultant(r, [i * c for i, c in enumerate(r)][1:], ZZ), r[-1])
+    if (n * (n - 1) // 2) % 2:
+        d = -d
     if odd:
         d *= r[-1] * r[-1]
     denom = L ** (4 * n if odd else 4 * n - 4) << (4 * (g + 1))
@@ -296,7 +313,8 @@ def _rational_clearing_transform(H: Poly, a, b, c, d, cap: int) -> Poly:
     max(|a| + |b|, |c| + |d|)^cap < 2^(k-1) in absolute value, with
     k = bound.bit_length() + 1.  Horner on the values at X = 2^k then gives
     an integer whose balanced base-2^k digits, divided by L_H lam^cap, are
-    the coefficients (Kronecker substitution, as in `algebra.resultant`).
+    the coefficients (Kronecker substitution, as in
+    `_rational_hyper_discriminant`).
     """
     lam, (a, b, c, d) = _clear((a, b, c, d))
     L, hs = _clear(H.cs)

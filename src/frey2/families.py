@@ -298,14 +298,14 @@ def verify_identities(r: int) -> IdentityReport:
     x = ring.gen
     h_neg = h.compose(-x)
     plus_ok = (f + 2) == (x + 2) * h_neg * h_neg
-    g_factor = poly_sqrt((f - 2).exact_div(x - 2))
-    if g_factor == h:
-        which = "h(x)"
-    elif g_factor == h_neg:
-        which = "h(-x)"
+    f_minus_2, x_minus_2 = f - 2, x - 2
+    minus_printed = f_minus_2 == x_minus_2 * h_neg * h_neg
+    # (f-2)/(x-2) has one monic square root, so a product check names it
+    for g_factor, which in ((h, "h(x)"), (h_neg, "h(-x)")):
+        if g_factor.lc() == 1 and f_minus_2 == x_minus_2 * g_factor * g_factor:
+            break
     else:
-        which = "other"
-    minus_printed = (f - 2) == (x - 2) * h_neg * h_neg
+        g_factor, which = poly_sqrt(f_minus_2.exact_div(x_minus_2)), "other"
     prod = h * h_neg
     sq_ok = (f * f - 4) == (x * x - 4) * prod * prod
     return IdentityReport(

@@ -220,8 +220,9 @@ def test_integer_bareiss_coefficient_at_the_bound(dom, sign):
     # Single-term diagonal entries: cleared row by row, the row norms are 3,
     # 5 and 17, and the one nonzero coefficient of the cleared determinant is
     # their product +-255, the Leibniz bound itself.  The elimination runs on
-    # Fractions and QQ[t] entries; the packed resultant meets its own bound in
-    # `test_packed_resultant_coefficient_in_the_top_bit`.
+    # Fractions and QQ[t] entries; the one packed computation of this kind,
+    # the curve discriminant over QQ and QQ[t], is held to the R formula in
+    # `tests/test_curves.py`.
     t = Rt.gen if dom is Rt else QQ.one
     entries = [Fraction(3, 2), Fraction(5, 4), Fraction(17 * sign, 8)]
     rows = [[dom.zero] * 3 for _ in range(3)]
@@ -235,7 +236,8 @@ def test_integer_bareiss_coefficient_at_the_bound(dom, sign):
 @st.composite
 def rational_operands(draw):
     """(domain, A, B) over QQ or QQ[t]: degrees 0 to 4, coefficients of degree
-    <= 3 in t with signed numerators and denominators up to 12."""
+    <= 3 in t with signed numerators and denominators up to 12, larger than
+    those of `prs_operands`."""
     dom = draw(st.sampled_from([QQ, Rt]))
     rational = st.fractions(min_value=-9, max_value=9, max_denominator=12)
     entry = rational if dom is QQ else st.lists(rational, max_size=4).map(dom.from_coeffs)
@@ -265,11 +267,11 @@ def test_packed_resultant_against_sylvester_elimination(case):
 @pytest.mark.parametrize("dom", [QQ, Rt])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_resultant_coefficient_in_the_top_bit(dom, sign):
-    # A = x/2 and B = (x^2 + 256 sign t^3)/4 clear to x and x^2 + 256 sign t^3.
-    # Over QQ[t], bound = 1^2 * 257 needs 9 bits, and the cleared resultant
-    # 256 sign t^3 has a coefficient of 9 bits too: one bit less per digit
-    # would misread it.  The degrees differ, so over QQ and QQ[t] alike the
-    # cleared resultant is divided by 2^2 * 4^1, not by 2^1 * 4^2.
+    # A = x/2 and B = (x^2 + 256 sign t^3)/4 clear to x and x^2 + 256 sign t^3,
+    # whose resultant 256 sign t^3 is as wide, 9 bits, as the Leibniz bound
+    # 1^2 * 257 of their Sylvester rows.  The degrees differ, so over QQ and
+    # QQ[t] alike Res(A, B) is the cleared resultant divided by 2^2 * 4^1,
+    # not by 2^1 * 4^2, in either argument order.
     t = Rt.gen if dom is Rt else QQ.one
     ring = PolyRing(dom, "x")
     X = ring.gen

@@ -266,6 +266,7 @@ def test_table_json_matches_golden(tmp_path):
 # (golden file, argv): each file is the command's output at the commit that
 # introduced it, so a refactor that changes a byte of the JSON fails here
 CLI_GOLDENS = [
+    ("table_r11-19.json", ["table", "--r", "11..19"]),
     ("verify_r3-7.json", ["verify", "--r", "3..7"]),
     ("verify_r11-19.json", ["verify", "--r", "11..19"]),
     *[(f"reduce_{p}_r5.json", ["reduce", "--pipeline", p, "--r", "5"])

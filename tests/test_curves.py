@@ -13,7 +13,7 @@ from frey2.curves import (
     infinity_patch,
 )
 from frey2.errors import DegreeViolation, SingularChange
-from frey2.families import C_ZS, build_curve, darmon_f, omega_min_poly
+from frey2.families import C_PLUS, C_S, C_ZS, H_35, build_curve, darmon_f, omega_min_poly
 from frey2.localfield import FormalParam, Laurent, LaurentRing, TameField
 
 R = PolyRing(QQ, "x")
@@ -64,7 +64,12 @@ def test_two_formulas_agree_on_monic_odd(rng):
 
 
 def _r_based_discriminant(E):
-    """Reference: Delta_E from R = 4P + Q^2 by the generic formula."""
+    """Reference: Delta_E from R = 4P + Q^2 by the generic formula.
+
+    `discriminant` runs the subresultant PRS on the elements of the base
+    (Fractions, or polynomials in t), so it shares no clearing and no
+    packing with the integer path of `hyper_discriminant` under test.
+    """
     base = E.base
     R = E.R()
     d = discriminant(R)
@@ -113,6 +118,18 @@ def test_integer_discriminant_against_the_r_formula(case):
         assert type(got) is F
     else:
         assert all(type(c) is F for c in got.cs)
+
+
+@pytest.mark.parametrize(
+    "family,r", [(fam, r) for fam in (C_S, C_PLUS) for r in (3, 5, 7, 11)] + [(H_35, None)]
+)
+def test_integer_discriminant_against_the_r_formula_on_the_families(family, r):
+    # the family curves reach genus 5 and coefficients far beyond what
+    # `rational_curves` draws: C_S over QQ[s], C_plus and H_35 over QQ[t]
+    E = build_curve(family, r).equation
+    got = hyper_discriminant(E)
+    assert not got.is_zero()
+    assert got == _r_based_discriminant(E)
 
 
 def test_infinity_patch_examples():

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from frey2.algebra import PolyRing, QQ, poly_str
+from frey2.algebra import PolyRing, QQ, poly_sqrt, poly_str
 from frey2.curves import hyper_discriminant
 import frey2.families as families_mod
 from frey2.errors import DegenerateParameter, NotOddPrime, PipelineAssertionFailed
@@ -88,6 +88,24 @@ def test_identity_suite(r):
     # the printed f-2 factor h(-x) is wrong; the computed factor is h(x)
     assert rep.f_minus_2_factor_is == "h(x)"
     assert not rep.f_minus_2_printed
+
+
+@pytest.mark.parametrize("r", [5, 7])
+@pytest.mark.parametrize("substitute", ["h", "h(-x)", "-h", "h+1"])
+def test_identity_square_factor_against_the_square_root(monkeypatch, r, substitute):
+    # verify_identities names the square factor of (f-2)/(x-2) by product
+    # checks; the reference takes its monic square root.  Besides h, the
+    # substitutes match h(-x) (monic at r = 5, not at r = 7), h up to sign,
+    # and nothing.
+    f = darmon_f(r)  # cached before omega_min_poly is replaced
+    h = omega_min_poly(r)
+    sub = {"h": h, "h(-x)": h.compose(-x), "-h": -h, "h+1": h + 1}[substitute]
+    monkeypatch.setattr(families_mod, "omega_min_poly", lambda _: sub)
+    rep = verify_identities(r)
+    root = poly_sqrt((f - 2).exact_div(x - 2))
+    which = "h(x)" if root == sub else "h(-x)" if root == sub.compose(-x) else "other"
+    assert rep.f_minus_2_square_factor == root
+    assert rep.f_minus_2_factor_is == which
 
 
 def test_c_coefficients():

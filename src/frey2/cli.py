@@ -74,7 +74,7 @@ class Parser(argparse.ArgumentParser):
 
 
 def parse_r_range(text: str) -> list[int]:
-    """--r N or --r A..B; bounds must be odd primes <= 19."""
+    """--r N or --r A..B with A <= B; bounds must be odd primes <= 19."""
     parts = text.split("..")
     if len(parts) == 1:
         vals = [_parse_odd_prime(parts[0])]
@@ -83,6 +83,8 @@ def parse_r_range(text: str) -> list[int]:
         raise CliError(f"bad range {text!r}")
     lo = _parse_odd_prime(parts[0])
     hi = _parse_odd_prime(parts[1])
+    if lo > hi:
+        raise CliError(f"descending range {text!r}")
     return [r for r in range(lo, hi + 1) if is_odd_prime(r)]
 
 
@@ -352,6 +354,8 @@ def run_table(args) -> tuple[dict, int]:
             vmin, vmax = int(parts[0]), int(parts[1])
         except ValueError:
             raise CliError("--grid-exponents expects integers") from None
+        if vmin > vmax:
+            raise CliError(f"descending --grid-exponents {args.grid_exponents!r}")
     rows = generate_table(rs, vmin, vmax, with_oracle=not args.no_oracle)
     conflicts = [r for r in rows if r.get("conflict")]
     doc = {

@@ -12,15 +12,13 @@ the pipelines execute:
   its cost scales with the nonzero ones: a monomial c pi^i is the
   common case and is inverted directly, without a gcd.
 
-* ``LaurentRing(param)``: Laurent polynomials in one formal parameter u.
-  For a positive-valuation parameter, v(u) = w is only known to be at
-  least a declared least weight w0 > 0; each term contributes the affine
-  form v2(c) + i*w, and the element's valuation is the minimal form
-  provided one term's form stays strictly minimal for every w >= w0
-  (checked at w0 and on the slopes, which suffices for affine functions
-  on [w0, oo)).  Ties anywhere raise ValuationAmbiguous rather than
-  guessing.  For a unit parameter the forms are constants and a declared
-  residue class drives reduction.
+* ``LaurentRing(param)``: Laurent polynomials in one formal parameter u
+  of positive valuation: v(u) = w is only known to be at least a declared
+  least weight w0 > 0.  Each term contributes the affine form
+  v2(c) + i*w, and the element's valuation is the minimal form provided
+  one term's form stays strictly minimal for every w >= w0 (checked at w0
+  and on the slopes, which suffices for affine functions on [w0, oo)).
+  Ties anywhere raise ValuationAmbiguous rather than guessing.
 
 All valuations are Fractions normalized to v(2) = 1.
 """
@@ -36,7 +34,6 @@ from .errors import (
     ValuationAmbiguous,
     ZeroElement,
 )
-from .gf2 import GF2, GF2k
 
 
 class TameField(Domain):
@@ -168,35 +165,19 @@ class TameField(Domain):
 
 @dataclass(frozen=True)
 class FormalParam:
-    """Formal parameter: either positive valuation at least `least`, or a unit.
-
-    A positive parameter reduces to 0 in GF(2); a unit parameter carries its
-    residue class in a binary field.
-    """
+    """Formal parameter of valuation at least `least` > 0; it reduces to 0
+    in GF(2)."""
 
     name: str
-    kind: str  # 'positive' | 'unit'
-    least: Fraction | None = None
-    residue_field: GF2k = GF2
-    residue: int | None = None
+    least: Fraction
 
     def __post_init__(self):
-        if self.kind == "positive":
-            if self.least is None or self.least <= 0:
-                raise ValueError("positive-valuation parameter needs a least weight > 0")
-        elif self.kind == "unit":
-            if not self.residue:
-                raise ValueError("unit parameter needs a nonzero residue class")
-        else:
-            raise ValueError(f"unknown parameter kind {self.kind!r}")
+        if self.least is None or self.least <= 0:
+            raise ValueError("formal parameter needs a least weight > 0")
 
     @staticmethod
     def positive(name, least) -> "FormalParam":
-        return FormalParam(name, "positive", least=Fraction(least))
-
-    @staticmethod
-    def unit(name, residue=1, field: GF2k = GF2) -> "FormalParam":
-        return FormalParam(name, "unit", residue_field=field, residue=residue)
+        return FormalParam(name, Fraction(least))
 
 
 @dataclass(frozen=True)
@@ -394,16 +375,7 @@ def laurent_val(a: Laurent) -> AffineVal:
     """
     if a.is_zero():
         raise ZeroElement("valuation of 0")
-    param = a.ring.param
-    if param.kind == "unit":
-        forms = [AffineVal(v2(c)) for _, c in a.terms]
-        best = min(forms, key=lambda f: f.const)
-        if sum(1 for f in forms if f.const == best.const) > 1:
-            raise ValuationAmbiguous(
-                f"unit-parameter terms tie at valuation {best.const}"
-            )
-        return best
-    least = param.least
+    least = a.ring.param.least
     forms = [AffineVal(v2(c), e) for e, c in a.terms]
     best = min(forms, key=lambda f: (f.at(least), f.slope))
     for f in forms:
@@ -418,58 +390,30 @@ def laurent_val(a: Laurent) -> AffineVal:
 
 def laurent_integral(a: Laurent) -> bool:
     """Every term valuation >= 0 at every weight from the least weight on."""
-    param = a.ring.param
-    if a.is_zero():
-        return True
-    if param.kind == "unit":
-        return all(v2(c) >= 0 for _, c in a.terms)
-    return all(
-        _nonnegative_throughout(AffineVal(v2(c), e), param.least) for e, c in a.terms
-    )
+    least = a.ring.param.least
+    return all(_nonnegative_throughout(AffineVal(v2(c), e), least) for e, c in a.terms)
 
 
-def laurent_residue(a: Laurent):
-    """Reduction to the residue field.
+def laurent_residue(a: Laurent) -> int:
+    """Reduction to the residue field GF(2).
 
-    Positive-valuation parameter: the parameter itself reduces to 0, so the
-    residue is the constant term mod 2 (a GF(2) bit).  Unit parameter: the
-    declared residue class is substituted, giving an element of the
-    parameter's residue field.
+    The parameter reduces to 0, so the residue is the constant term mod 2,
+    provided every other term has positive valuation at every weight from
+    the least weight on (ValuationAmbiguous otherwise).
     """
-    param = a.ring.param
+    least = a.ring.param.least
     if not laurent_integral(a):
         raise NonIntegral(f"{a!r} has a term of negative valuation")
-    if param.kind == "positive":
-        out = 0
-        for e, c in a.terms:
-            if e == 0:
-                out = rational_residue_bit(c)
-            elif not _strictly_positive_attained(AffineVal(v2(c), e), param.least):
-                # the term can reach valuation 0 at an attainable weight,
-                # so the residue is not uniform in the weight
-                raise ValuationAmbiguous(
-                    f"term of exponent {e} can reach valuation 0 at some weight "
-                    f">= {param.least}"
-                )
-        return out
-    field = param.residue_field
-    out = field.zero
+    out = 0
     for e, c in a.terms:
-        bit = rational_residue_bit(c)
-        if bit:
-            out = field.add(out, field.pow(param.residue, e))
-    return out
-
-
-def laurent_substitute(a: Laurent, target_ring: "LaurentRing", expr: Laurent) -> Laurent:
-    """Map u -> expr(new parameter); exponents of u may be negative if expr is a unit."""
-    out = target_ring.zero
-    for e, c in a.terms:
-        term = target_ring.term(c)
-        power = target_ring.pow(expr, e) if e >= 0 else target_ring.pow(
-            target_ring.inv(expr), -e
-        )
-        out = target_ring.add(out, target_ring.mul(term, power))
+        if e == 0:
+            out = rational_residue_bit(c)
+        elif not _strictly_positive_attained(AffineVal(v2(c), e), least):
+            # the term can reach valuation 0 at an attainable weight,
+            # so the residue is not uniform in the weight
+            raise ValuationAmbiguous(
+                f"term of exponent {e} can reach valuation 0 at some weight >= {least}"
+            )
     return out
 
 

@@ -22,10 +22,10 @@ symbols.  It also proves that the model is defined over Q_2 iff
 zeta = z'/pi^(2v+4) is, so `cross_validate` (hence `frey2 table` and
 `classify --oracle-check`) reads a row's exponent off the certificate and
 one tame-field value (`OddGoodCertificate.base_defined`).  The row's full
-result (`OddGoodCertificate.result`, or `certified_odd_good` for one
-(z, s)) is built only when read.  `pipeline_odd_good_reduction` runs the
-chain over the tame field Q(2^(1/r)) with concrete rational parameters; it
-serves `frey2 reduce --pipeline odd-good` and is the test oracle of the
+result (`OddGoodCertificate.result`) is built only when read.
+`pipeline_odd_good_reduction` runs the chain over the tame field
+Q(2^(1/r)) with concrete rational parameters; it serves
+`frey2 reduce --pipeline odd-good` and is the test oracle of the
 certificate.
 """
 
@@ -60,7 +60,6 @@ from .localfield import (
     TameField,
     laurent_integral,
     laurent_residue,
-    laurent_substitute,
     laurent_val,
     normalize_twist,
 )
@@ -112,7 +111,7 @@ def _fiber(E: HyperEq, fld, residue) -> SpecialFiber:
 
 
 def _laurent_fiber(E: HyperEq) -> SpecialFiber:
-    return _fiber(E, E.base.param.residue_field, laurent_residue)
+    return _fiber(E, GF2, laurent_residue)
 
 
 def _split_factor_polys(r: int):
@@ -222,11 +221,14 @@ def pipeline_ppr_even(case: str, r: int) -> PipelineResult:
 
 def pipeline_35p(case: str) -> PipelineResult:
     """Signature (3,5,p): good reduction over degree-3/degree-5 tame charts,
-    toric reduction in the negative-valuation case."""
+    toric reduction in the negative-valuation case.
+
+    In case v_neg the model lives in tau = 1/t; its display is that of the
+    unit w = (1-t)/t = tau - 1, and its fiber is read in tau, which reduces
+    to 0 and so sends w to 1."""
     if case not in P35_CASES:
         raise ValueError(f"unknown case {case!r}")
     label = f"35p/{case}"
-    g = 2
     notes = []
 
     if case == "v_t_pos":
@@ -280,27 +282,9 @@ def pipeline_35p(case: str) -> PipelineResult:
     dval = laurent_val(disc)
     _require(dval == expected_disc_val, label, f"discriminant valuation {expected_disc_val!r}")
 
+    fib = _laurent_fiber(model)
     if case == "v_neg":
-        # rewrite in the unit parameter w = (1-t)/t = tau - 1, residue 1
-        unit_param = FormalParam.unit("w", residue=1, field=GF2)
-        uring = LaurentRing(unit_param)
-        wplus1 = uring.add(uring.gen, uring.one)  # tau = w + 1
-        Rxu = PolyRing(uring, "x")
-        model_u = HyperEq(
-            Poly(Rxu, [laurent_substitute(c, uring, wplus1) for c in model.Q.cs]),
-            Poly(Rxu, [laurent_substitute(c, uring, wplus1) for c in model.P.cs]),
-            g,
-        )
-        wg = uring.gen
-        exp_Qu, exp_Pu = h35_polys(
-            Rxu, uring.pow(wg, 2), uring.mul(uring.from_int(3), uring.pow(wg, 3))
-        )
-        _require(
-            model_u.Q == exp_Qu and model_u.P == exp_Pu,
-            label,
-            "unit-parameter model y^2 + y(x^3 + w^2) = 2w^2 x^3 + 3w^3 x + w^4",
-        )
-        fib = _laurent_fiber(model_u)
+        # tau -> 0 sends the unit w = (1-t)/t = tau - 1 to -1 = 1 mod 2
         notes.append("toric chart: unit parameter w = (1-t)/t with residue 1")
         gring = fib.Q.ring
         _require(
@@ -308,8 +292,6 @@ def pipeline_35p(case: str) -> PipelineResult:
             label,
             "special fiber y^2 + y(x^3 + 1) = x + 1",
         )
-    else:
-        fib = _laurent_fiber(model)
 
     pts = singular_points(fib)
     kind, nodes = fiber_kind(pts)
@@ -620,10 +602,3 @@ def odd_good_certificate(r: int) -> OddGoodCertificate:
         "discriminant is integral with odd constant term and even other terms",
     )
     return OddGoodCertificate(r, fibers, Fraction(0))
-
-
-def certified_odd_good(z, s, r: int) -> PipelineResult:
-    """The odd-degree good-reduction result at (z, s), read off
-    `odd_good_certificate(r)` (see `OddGoodCertificate.result`)."""
-    z, s = _check_hypothesis(z, s, r)
-    return odd_good_certificate(r).result(z, s)

@@ -45,6 +45,26 @@ def test_parse_r_range():
         parse_r_range("4..5")
     with pytest.raises(CliError):
         parse_r_range("3..23")
+    assert parse_r_range("7..7") == [7]
+    for text in ("7..3", "19..3", "5..3"):
+        with pytest.raises(CliError):
+            parse_r_range(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--r", "7..3"],
+        ["table", "--r", "7..3"],
+        ["table", "--r", "3", "--grid-exponents", "5..3"],
+    ],
+)
+def test_descending_range_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: descending")
+    assert err.count("\n") == 1
 
 
 def test_verify_exit_zero_with_documented_mismatches(capsys):
@@ -298,24 +318,25 @@ def test_json_matches_golden(tmp_path, name, argv):
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_every_golden_is_checked():
+    """The golden directory holds exactly the files the tests above compare."""
+    named = [name for name, _ in CLI_GOLDENS] + [GOLDEN_TABLE.name]
+    assert len(named) == len(set(named))
+    assert {p.name for p in GOLDEN.iterdir()} == set(named)
+
+
 def test_table_builds_no_odd_row_model(monkeypatch, tmp_path):
     """`table` reads each odd row off the certificate plus one tame-field
     test; the row's model and witness are built only when read, by
     `classify --oracle-check`, whose goldens stay byte-identical."""
     built = []
     real_result = pipelines_mod.OddGoodCertificate.result
-    real_certified = pipelines_mod.certified_odd_good
 
     def counting_result(self, z, s):
         built.append(("result", self.r, z, s))
         return real_result(self, z, s)
 
-    def counting_certified(z, s, r):
-        built.append(("certified_odd_good", r, z, s))
-        return real_certified(z, s, r)
-
     monkeypatch.setattr(pipelines_mod.OddGoodCertificate, "result", counting_result)
-    monkeypatch.setattr(pipelines_mod, "certified_odd_good", counting_certified)
     path = tmp_path / "table.json"
     assert main(["table", "--r", "3..7", "--format", "json", "--out", str(path)]) == EXIT_OK
     assert path.read_bytes() == GOLDEN_TABLE.read_bytes()

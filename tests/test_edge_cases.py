@@ -69,9 +69,7 @@ def test_weight_interval_validation():
     with pytest.raises(ValueError):
         FormalParam.positive("u", F(-1, 3))
     with pytest.raises(ValueError):
-        FormalParam("u", "positive")  # no least weight
-    with pytest.raises(ValueError):
-        FormalParam.unit("u", residue=0)
+        FormalParam("u", None)  # no least weight
 
 
 def test_field_size_caps():

@@ -19,7 +19,6 @@ from frey2.localfield import AffineVal, TameField
 from frey2.pipelines import (
     P35_CASES,
     PPR_EVEN_CASES,
-    certified_odd_good,
     field_of_definition,
     odd_good_certificate,
     pipeline_35p,
@@ -304,7 +303,7 @@ def _assert_certificate_path_is_the_chain(signature, r, t):
     """cross_validate's certificate path against the concrete chain at one row."""
     z, s = zs_params(ODD_FAMILY[signature], r, QQ, t)
     ref = pipeline_odd_good_reduction(z, s, r)
-    res = certified_odd_good(z, s, r)
+    res = odd_good_certificate(r).result(z, s)
     cv = cross_validate(signature, r, t)
     assert cv.oracle_exponent == (0 if ref.base_defined else 2)
     assert res.base_defined == cv.pipeline.base_defined == ref.base_defined

@@ -258,8 +258,12 @@ CHART_NOTES = {
 
 def cross_validate(signature: str, r: int | None, t) -> CrossValidation:
     """Printed rule vs construction oracle; conflicts are surfaced, not resolved."""
-    r, t = _validate(signature, r, t)
-    printed = classify(signature, r, t, TABLE_AS_PRINTED)
+    return _cross_validate(classify(signature, r, t, TABLE_AS_PRINTED))
+
+
+def _cross_validate(printed: ConductorReport) -> CrossValidation:
+    """`cross_validate` of the row whose printed-mode report is `printed`."""
+    signature, r, t = printed.signature, printed.r, printed.t
     oracle_rep = classify(signature, r, t, ORACLE_CORRECTED)
     if signature in ODD_FAMILY:
         if not printed.covered():

@@ -17,6 +17,7 @@ from .algebra import QQ, Poly, PolyRing, is_odd_prime
 from .classify import (
     ORACLE_CORRECTED,
     TABLE_AS_PRINTED,
+    _cross_validate,
     classify,
     cross_validate,
 )
@@ -334,7 +335,7 @@ def generate_table(r_values, vmin=-9, vmax=11, with_oracle=True) -> list[dict]:
                         "inertial_type": rep.inertial_type,
                     }
                     if with_oracle and rep.covered():
-                        cv = cross_validate(signature, r, t)
+                        cv = _cross_validate(rep)
                         row["oracle_exponent"] = cv.oracle_exponent
                         row["oracle_agrees"] = cv.agree
                         if cv.conflict:

@@ -17,13 +17,13 @@ change over QQ is one homogeneous Horner on Python ints, with X replaced
 by 2^B (Kronecker substitution, as for QQ products in `algebra`); over
 any other base it costs O(deg^2) ring operations.
 `hyper_discriminant`, the direct resultant, runs on the verified paths
-only over QQ[t] and QQ[s].  Over QQ and QQ[t] it never builds R as a
-polynomial: with L the lcm of the denominators of Q and P, L^2 R is built
-on integers (each coefficient in t packed at 2^k), the subresultant PRS
-runs on them, and the leading coefficient, L and 2^(4(g+1)) are divided
-out once at the end; `_rational_hyper_discriminant` proves the packing
-exact.  Any other base builds R (`HyperEq.R`) and takes its
-`algebra.discriminant`.
+only over QQ (`verify`'s law checks) and QQ[t] (the H_35 certificate).
+Over QQ and QQ[t] it never builds R as a polynomial: with L the lcm of
+the denominators of Q and P, L^2 R is built on integers (each coefficient
+in t packed at 2^k), the subresultant PRS runs on them, and the leading
+coefficient, L and 2^(4(g+1)) are divided out once at the end;
+`_rational_hyper_discriminant` proves the packing exact.  Any other base
+builds R (`HyperEq.R`) and takes its `algebra.discriminant`.
 """
 
 from dataclasses import dataclass

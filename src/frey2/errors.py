@@ -53,6 +53,12 @@ class PipelineAssertionFailed(Frey2Error, AssertionError):
     """A reduction pipeline could not certify one of its stated conclusions."""
 
 
+def _require(cond: bool, label: str, claim: str):
+    """Raise PipelineAssertionFailed naming `claim` under `label` unless `cond`."""
+    if not cond:
+        raise PipelineAssertionFailed(f"[{label}] violated claim: {claim}")
+
+
 class HypothesisViolated(Frey2Error, ValueError):
     """Valuation hypothesis v(z^r) >= v(s^2) + 4 does not hold."""
 

@@ -16,16 +16,14 @@ Each formula of the paper has one home here, over any coefficient domain:
 
 `verify_identities` checks the three factorization identities exactly and
 reports which square factor f-2 actually has (h(x), not the h(-x) some
-sources print).  `verify_closed_form_disc` compares a computed curve
-discriminant of each family, one resultant per (family, r), with its
-printed closed form and reports an exact structured diff when the printed
-form follows the bare polynomial-discriminant normalization instead
-(ratio 2^(4g): the C_r^+ family).  Past that resultant every closed form
-is an integer computation: the formulas in t run over ZZ at t = 2^K
-(`algebra.kronecker_coeffs`) and are read back into QQ[t] once, and the
-C_zs forms over QQ[z][s] are lifted from their z = 1 slice by the weights
-(1, 2, r).  `certified_disc` hands the pipelines the certified closed form
-at their parameter, so no resultant runs over a Laurent or tame domain.
+sources print).  `proved_disc` derives the curve discriminants of C_zs,
+H_rr, H_2r and C_plus from those identities by the resultant laws, with no
+elimination; only H_35 takes its one fixed-size resultant.
+`verify_closed_form_disc` compares each with its printed closed form, both
+evaluated on integers at t = 2^K (`algebra.kronecker_coeffs`), and reports
+the exact ratio 2^(4g) where the printed form is the bare polynomial
+discriminant (the C_r^+ family).  `certified_disc` hands the pipelines the
+certified closed form at their parameter.
 """
 
 from dataclasses import dataclass
@@ -42,7 +40,7 @@ from .algebra import (
     poly_sqrt,
 )
 from .curves import HyperEq, hyper_discriminant
-from .errors import DegenerateParameter, Frey2Error, PipelineAssertionFailed
+from .errors import DegenerateParameter, Frey2Error, _require
 from .gf2 import irreducible_factor_degrees
 
 C_S = "C_s"
@@ -376,26 +374,54 @@ def printed_gap(family: str, r: int | None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _czs_weighted_coeffs(r: int) -> tuple:
-    """(a_0, ..., a_m), m = (r-1)/2, with Delta(C_zs) = sum_k a_k z^(r(m-k)) s^(2k).
+def _cs_disc_constant(r: int) -> Fraction:
+    """K with Delta(C_S) = K (s^2 - 4)^m, m = (r-1)/2, proved without elimination.
 
-    Delta(C_zs) is isobaric of weight r(r-1) for the weights (x, z, s) =
-    (1, 2, r) (Gelfand-Kapranov-Zelevinsky, Discriminants, Resultants and
-    Multidimensional Determinants, 1994, ch. 12), so a term z^i s^j has
-    2i + rj = r(r-1): j is even, at most r-1, and fixes i.  The slice
-    z = 1, one C_S resultant over QQ[s], thus gives the whole form.
+    With f = `darmon_f(r)` and h = `omega_min_poly(r)` it checks (i) f - 2 =
+    (x-2) h^2, (ii) f + 2 = (x+2) h(-x)^2 and (iii) f' = r lc(h(-x)) h h(-x).
+    By (iii), Res(A, BC) = Res(A, B) Res(A, C) and (-1)^(rm) per swap,
+    Res(f+s, f') is (r lc(h(-x)))^r Res(h, f+s) Res(h(-x), f+s); as f = +-2
+    mod h(+-x) by (i), (ii), Res(G, F) = lc(G)^(deg F - deg(F mod G))
+    Res(G, F mod G) makes these lc(h(+-x))^r (s +- 2)^m.  Then disc(f+s) =
+    (-1)^(r(r-1)/2) Res(f+s, f'), and Delta(C_S) = 2^(4m) disc(f+s).
     """
-    return _even_slice(r, hyper_discriminant(build_curve(C_S, r).equation).cs, C_ZS)
+    f, h, m = darmon_f(r), omega_min_poly(r), (r - 1) // 2
+    x = f.ring.gen
+    h_neg = h.compose(-x)
+    label = f"C_S disc proof, r={r}"
+    _require(f - 2 == (x - 2) * h * h, label, "f - 2 = (x - 2) h(x)^2")
+    _require(f + 2 == (x + 2) * h_neg * h_neg, label, "f + 2 = (x + 2) h(-x)^2")
+    _require(h.degree() == m and h.lc() == 1
+             and f.derivative() == (h * h_neg).scale(r * h_neg.lc()), label,
+             "f' = r lc(h(-x)) h(x) h(-x), h monic of degree m")
+    swap = (-1) ** (r * m)
+    res = (r * h_neg.lc()) ** r * (swap * h.lc() ** r) * (swap * h_neg.lc() ** r)
+    return 2 ** (4 * m) * (-1) ** (r * (r - 1) // 2) * res
+
+
+def proved_disc(family: str, r: int, dom, params):
+    """The proved curve discriminant of C_zs, H_rr, H_2r or C_plus in `dom`.
+
+    Delta(C_zs) = K (s^2 - 4 z^r)^m lifts Delta(C_S) (`_cs_disc_constant`)
+    isobarically for the weights (1, 2, r) of (x, z, s) (Gelfand-Kapranov-
+    Zelevinsky 1994, ch. 12); H_rr, H_2r are C_zs at `zs_params`.  C_plus is
+    (x+2)(f+s) at s = 2 - 4t: disc(AB) = disc(A) disc(B) Res(A, B)^2 with
+    Res(x+2, f+s) = f(-2) + s = -4t by (ii) gives 16 t^2 Delta(C_S).
+    """
+    if family == C_PLUS:
+        cs = proved_disc(C_ZS, r, dom, zs_params(C_MINUS, r, dom, params))
+        return dom.mul(dom.mul(dom.from_int(16), dom.mul(params, params)), cs)
+    z, s = params if family == C_ZS else zs_params(family, r, dom, params)
+    core = dom.sub(dom.mul(s, s), dom.mul(dom.from_int(4), dom.pow(z, r)))
+    return dom.mul(dom.from_rational(_cs_disc_constant(r)), dom.pow(core, (r - 1) // 2))
 
 
 def _even_slice(r: int, cs, claim: str) -> tuple:
     """The coefficients of s^0, s^2, ..., s^(2m) of a z = 1 slice cs (low
     first), after checking that it has no odd and no higher term."""
     m = (r - 1) // 2
-    if len(cs) > 2 * m + 1 or any(cs[1::2]):
-        raise PipelineAssertionFailed(
-            f"[{claim}/r={r}] violated claim: discriminant isobaric for weights (1, 2, r)"
-        )
+    _require(len(cs) <= 2 * m + 1 and not any(cs[1::2]), f"{claim}/r={r}",
+             "discriminant isobaric for weights (1, 2, r)")
     return tuple(cs[0::2]) + (QQ.zero,) * (m + 1 - (len(cs) + 1) // 2)
 
 
@@ -409,51 +435,29 @@ def _czs_lift(r: int, ring: PolyRing, a) -> Poly:
     return Poly(ring, cs)
 
 
-def czs_disc_at(r: int, dom, z, s):
-    """The C_zs discriminant at (z, s) in `dom`, by Horner in s^2 and z^r.
-
-    At `zs_params` it is the H_rr or H_2r discriminant: their x-polynomial
-    is the monic degree-r C_zs one.  `verify_closed_form_disc` runs it over
-    ZZ (`kronecker_coeffs`), so its constants a_k must be integers.
-    """
-    zr, s2 = dom.pow(z, r), dom.mul(s, s)
-    acc, zr_pow = dom.zero, dom.one
-    for a in reversed(_czs_weighted_coeffs(r)):
-        acc = dom.add(dom.mul(acc, s2), dom.mul(dom.from_rational(a), zr_pow))
-        zr_pow = dom.mul(zr_pow, zr)
-    return acc
+def _table_poly(table, family: str, r: int | None, dom) -> Poly:
+    """`table` (`proved_disc` or `printed_disc`) over `dom`, on integers by
+    `kronecker_coeffs`: in t, or for C_zs at z = 1 lifted by the weights."""
+    if family == C_ZS:
+        slice_ = kronecker_coeffs(lambda d, s: table(C_ZS, r, d, (d.one, s)))
+        return _czs_lift(r, dom, _even_slice(r, slice_, C_ZS))
+    return Poly(dom, kronecker_coeffs(lambda d, t: table(family, r, d, t)), normalized=True)
 
 
 def verify_closed_form_disc(family: str, r: int | None = None) -> DiscReport:
-    """Compare the computed curve discriminant with the printed closed form.
+    """Compare the curve discriminant with the printed closed form, exactly.
 
-    C_plus and H_35 take their own QQ[t] resultant; C_zs, H_rr and H_2r
-    share the C_S one (`_czs_weighted_coeffs`), so there is one resultant
-    per (family, r).  The closed forms in t (`czs_disc_at` at `zs_params`,
-    and `printed_disc`) are exact integer computations at t = 2^K
-    (`kronecker_coeffs`), read back once into QQ[t].  Over QQ[z][s] both
-    sides are lifted from their z = 1 slice by the weights (1, 2, r): the
-    computed one is isobaric by `_czs_weighted_coeffs`, the printed one,
-    sign 2^(2(r-1)) r^r (s^2 - 4 z^r)^m, by inspection.  The comparison is
-    exact.  When they differ, the exact ratio is reported; a ratio of
-    `printed_gap` is a documented mismatch rather than a failure.
+    The curve discriminant is `proved_disc`, or for H_35 its one QQ[t]
+    resultant; both sides are evaluated by `_table_poly`.  When they
+    differ, the exact ratio is reported; a ratio of `printed_gap` is a
+    documented mismatch rather than a failure.
     """
     if family not in CLOSED_FORM_FAMILIES:
         raise ValueError(f"{family} has no printed closed form")
-    if family == C_ZS:
-        dom = _resolve_zs(None, None, None)[2]
-        direct = _czs_lift(r, dom, _czs_weighted_coeffs(r))
-        slice_ = kronecker_coeffs(lambda d, s: printed_disc(C_ZS, r, d, (d.one, s)))
-        printed = _czs_lift(r, dom, _even_slice(r, slice_, "C_zs printed"))
-    else:
-        dom = _resolve_single(None, None, "t")[1]
-        if family in (C_PLUS, H_35):
-            direct = hyper_discriminant(build_curve(family, r).equation)
-        else:
-            direct = Poly(dom, kronecker_coeffs(
-                lambda d, t: czs_disc_at(r, d, *zs_params(family, r, d, t))), normalized=True)
-        printed = Poly(dom, kronecker_coeffs(lambda d, t: printed_disc(family, r, d, t)),
-                       normalized=True)
+    dom = PolyRing(PolyRing(QQ, "z"), "s") if family == C_ZS else PolyRing(QQ, "t")
+    direct = (hyper_discriminant(build_curve(H_35).equation) if family == H_35
+              else _table_poly(proved_disc, family, r, dom))
+    printed = _table_poly(printed_disc, family, r, dom)
     equal = direct == printed
     ratio, documented, note = None, False, ""
     if not equal:
@@ -468,27 +472,17 @@ def verify_closed_form_disc(family: str, r: int | None = None) -> DiscReport:
                 "printed value is the discriminant of the defining polynomial; "
                 f"the curve discriminant is 2^(4g) = 2^{gap.bit_length() - 1} times it"
             )
-    return DiscReport(
-        family=family,
-        r=r,
-        direct=direct,
-        printed=printed,
-        equal=equal,
-        ratio=ratio,
-        documented_mismatch=documented,
-        note=note,
-    )
+    return DiscReport(family=family, r=r, direct=direct, printed=printed, equal=equal,
+                      ratio=ratio, documented_mismatch=documented, note=note)
 
 
 @lru_cache(maxsize=None)
 def closed_form_certificate(family: str, r: int | None = None) -> DiscReport:
     """`verify_closed_form_disc` up to `printed_gap`, cached once it holds."""
     rep = verify_closed_form_disc(family, r)
-    if not (rep.documented_mismatch if printed_gap(family, r) != 1 else rep.equal):
-        raise PipelineAssertionFailed(
-            f"[{family} certificate, r={r}] violated claim: closed-form discriminant "
-            "equals the computed one"
-        )
+    _require(rep.documented_mismatch if printed_gap(family, r) != 1 else rep.equal,
+             f"{family} certificate, r={r}",
+             "closed-form discriminant equals the computed one")
     return rep
 
 

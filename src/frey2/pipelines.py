@@ -39,7 +39,7 @@ from .curves import HyperEq, MobiusChange, apply_change, equation_str
 # not called here; kept importable as `pipelines.hyper_discriminant`,
 # which perfbench/test_perfbench.py checks after tracing
 from .curves import hyper_discriminant  # noqa: F401
-from .errors import HypothesisViolated, PipelineAssertionFailed
+from .errors import HypothesisViolated, _require
 from .families import (
     C_PLUS,
     C_ZS,
@@ -91,11 +91,6 @@ class PipelineResult:
         """Model and special fiber on one line, rendered once per result."""
         return (f"{equation_str(self.model)}  |  fiber: {equation_str(self.fiber.eq)} "
                 f"({self.fiber_kind})")
-
-
-def _require(cond: bool, label: str, claim: str):
-    if not cond:
-        raise PipelineAssertionFailed(f"[{label}] violated claim: {claim}")
 
 
 def _lift(p: Poly, ring: PolyRing) -> Poly:

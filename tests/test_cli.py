@@ -351,6 +351,25 @@ def test_table_builds_no_odd_row_model(monkeypatch, tmp_path):
     assert [entry[0] for entry in built] == ["result"] * len(odd)
 
 
+def test_table_classifies_each_row_once_in_printed_mode(monkeypatch):
+    """`generate_table` hands each row's printed report to the cross-check,
+    so a covered row is classified once more, in oracle mode only."""
+    calls = []
+    real = classify_mod.classify
+
+    def counting(signature, r, t, mode=classify_mod.TABLE_AS_PRINTED):
+        calls.append(mode)
+        return real(signature, r, t, mode)
+
+    monkeypatch.setattr(classify_mod, "classify", counting)
+    monkeypatch.setattr(cli, "classify", counting)
+    rows = generate_table([3, 5, 7])
+    assert len(rows) == 217
+    assert calls.count(classify_mod.TABLE_AS_PRINTED) == len(rows)
+    covered = sum("oracle_exponent" in row for row in rows)
+    assert calls.count(classify_mod.ORACLE_CORRECTED) == covered
+
+
 def test_law_checks_redraw_degenerate_curves():
     # this stream draws a curve whose 4P + Q^2 falls below degree 2g+1
     assert cli._lemma_law_spot_checks(random.Random(5), 300)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -19,12 +20,12 @@ from frey2.families import (
     build_curve,
     c_coefficients,
     closed_form_certificate,
-    czs_disc_at,
     czs_polynomial,
     darmon_f,
     irreducibility_witness,
     omega_min_poly,
     printed_disc,
+    proved_disc,
     verify_closed_form_disc,
     verify_identities,
     zs_params,
@@ -202,39 +203,106 @@ def test_packed_closed_forms_equal_the_formulas_over_polynomials(r):
     the same formulas on QQ[t] and QQ[z][s] polynomials."""
     z, s, Rzs = families_mod._resolve_zs(None, None, None)
     rep = verify_closed_form_disc(C_ZS, r)
-    assert rep.direct == czs_disc_at(r, Rzs, z, s)
+    assert rep.direct == proved_disc(C_ZS, r, Rzs, (z, s))
     assert rep.printed == printed_disc(C_ZS, r, Rzs, (z, s))
     Rt = PolyRing(QQ, "t")
     t = Rt.gen
-    for fam in (H_RR, H_2R):
+    for fam in (H_RR, H_2R, C_PLUS):
         rep = verify_closed_form_disc(fam, r)
-        assert rep.direct == czs_disc_at(r, Rt, *zs_params(fam, r, Rt, t)), fam
+        assert rep.direct == proved_disc(fam, r, Rt, t), fam
         assert rep.printed == printed_disc(fam, r, Rt, t), fam
-    for fam, r_ in ((C_PLUS, r), (H_35, None)):
-        assert verify_closed_form_disc(fam, r_).printed == printed_disc(fam, r_, Rt, t), fam
+    assert verify_closed_form_disc(H_35).printed == printed_disc(H_35, None, Rt, t)
 
 
-@pytest.mark.parametrize("fam,r", [*((f, r) for f in (C_ZS, H_RR, H_2R) for r in (3, 5, 7)),
+@pytest.mark.parametrize("fam,r", [*((f, r) for f in (C_ZS, H_RR, H_2R, C_PLUS)
+                                     for r in (3, 5, 7)),
                                    (H_RR, 11), (H_2R, 11)])
 def test_certificate_equals_direct_determinant(fam, r):
     """The direct resultant (over QQ[z][s] for C_zs) is the oracle for the
-    C_S resultant lifted by the weights and evaluated at (z(t), s(t))."""
+    proved discriminant that the certificate carries."""
     direct = hyper_discriminant(build_curve(fam, r).equation)
     assert closed_form_certificate(fam, r).direct == direct
 
 
-@pytest.mark.parametrize("extra", [1, 3, 6])  # odd, odd, over-degree (2m = 4)
-def test_weight_lift_rejects_a_slice_off_the_weights(monkeypatch, extra):
+@pytest.mark.parametrize("r", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_proved_disc_against_direct_resultants(r):
+    """The resultants of C_S over QQ[s] and of C_plus over QQ[t] are the
+    oracle for `proved_disc`, which computes none."""
+    Rs = PolyRing(QQ, "s")
+    direct = hyper_discriminant(build_curve(C_S, r).equation)
+    assert direct == proved_disc(C_ZS, r, Rs, (Rs.one, Rs.gen))
+    Rt = PolyRing(QQ, "t")
+    direct = hyper_discriminant(build_curve(C_PLUS, r).equation)
+    assert direct == proved_disc(C_PLUS, r, Rt, Rt.gen)
+
+
+# each corrupted h, whether f is rebuilt as (x - 2) h^2 + 2 around it, and
+# the first claim of the proof it violates
+PROOF_FAULTS = {
+    "h(-x)": (lambda h: h.compose(-h.ring.gen), False, "f - 2 = (x - 2) h(x)^2"),
+    "h+1": (lambda h: h + 1, False, "f - 2 = (x - 2) h(x)^2"),
+    "-h": (lambda h: -h, False, "f' = r lc(h(-x)) h(x) h(-x), h monic of degree m"),
+    "h+1, f from it": (lambda h: h + 1, True, "f + 2 = (x + 2) h(-x)^2"),
+}
+
+
+@pytest.mark.parametrize("r", [5, 7])
+@pytest.mark.parametrize("fault", PROOF_FAULTS)
+def test_proof_step_failure_names_its_claim(monkeypatch, fault, r):
+    corrupt, rebuild_f, claim = PROOF_FAULTS[fault]
+    bad = corrupt(omega_min_poly(r))
+    darmon_f(r)  # f is cached before h is corrupted
+    families_mod._cs_disc_constant.cache_clear()
+    closed_form_certificate.cache_clear()
+    monkeypatch.setattr(families_mod, "omega_min_poly", lambda r_: bad)
+    if rebuild_f:
+        monkeypatch.setattr(families_mod, "darmon_f", lambda r_: (x - 2) * bad * bad + 2)
+    for fam in (C_ZS, H_RR, H_2R, C_PLUS):
+        with pytest.raises(PipelineAssertionFailed,
+                           match=re.escape(f"[C_S disc proof, r={r}] violated claim: {claim}")):
+            closed_form_certificate(fam, r)
+    # a failed proof or certificate is not cached: it passes once h is sound
+    assert families_mod._cs_disc_constant.cache_info().currsize == 0
+    assert closed_form_certificate.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert closed_form_certificate(C_ZS, r).equal
+
+
+def test_no_curve_discriminant_behind_the_four_certificates(monkeypatch):
+    """Only H_35 takes a resultant; the other certificates rest on the proof."""
+    seen = []
     real = families_mod.hyper_discriminant
 
-    def off_weight(E):
-        d = real(E)
-        return d + d.ring.gen ** extra
+    def recording(E):
+        seen.append(E)
+        return real(E)
 
-    monkeypatch.setattr(families_mod, "hyper_discriminant", off_weight)
-    families_mod._czs_weighted_coeffs.cache_clear()
-    with pytest.raises(PipelineAssertionFailed, match="isobaric"):
-        verify_closed_form_disc(C_ZS, 5)
+    monkeypatch.setattr(families_mod, "hyper_discriminant", recording)
+    families_mod._cs_disc_constant.cache_clear()
+    closed_form_certificate.cache_clear()
+    for r in (3, 5, 7, 11):
+        for fam in (C_ZS, C_PLUS, H_RR, H_2R):
+            verify_closed_form_disc(fam, r)
+            closed_form_certificate(fam, r)
+    assert seen == []
+    closed_form_certificate(H_35)
+    assert [E.base for E in seen] == [PolyRing(QQ, "t")]
+
+
+@pytest.mark.parametrize("extra", [1, 3, 6])  # odd, odd, over-degree (2m = 4)
+def test_weight_lift_rejects_a_slice_off_the_weights(monkeypatch, extra):
+    """A C_zs formula with a term off the weights (1, 2, r) fails `_even_slice`
+    on either side of the comparison."""
+    for name in ("proved_disc", "printed_disc"):
+        real = getattr(families_mod, name)
+
+        def off_weight(family, r, dom, params, real=real):
+            return dom.add(real(family, r, dom, params), dom.pow(params[1], extra))
+
+        with monkeypatch.context() as m:
+            m.setattr(families_mod, name, off_weight)
+            with pytest.raises(PipelineAssertionFailed, match="isobaric"):
+                verify_closed_form_disc(C_ZS, 5)
 
 
 def test_closed_form_families_list():

@@ -245,8 +245,9 @@ def test_odd_good_disc_equals_determinant(z, s, r):
 def test_pipelines_take_one_rational_resultant_per_family_and_r(monkeypatch):
     """No resultant over a Laurent or tame domain; certificates are cached.
 
-    Each certificate's resultant is a curve discriminant over QQ[t] or
-    QQ[s], which runs on integers and so never calls `algebra.resultant`.
+    Only the H_35 certificate takes a curve discriminant, over QQ[t], which
+    runs on integers and so never calls `algebra.resultant`; C_plus and C_zs
+    rest on the proof of `families._cs_disc_constant`.
     """
     bases, resultants = [], []
     real_resultant = algebra_mod.resultant
@@ -263,16 +264,16 @@ def test_pipelines_take_one_rational_resultant_per_family_and_r(monkeypatch):
     monkeypatch.setattr(algebra_mod, "resultant", resultant)
     monkeypatch.setattr(families_mod, "hyper_discriminant", hyper_discriminant)
     families_mod.closed_form_certificate.cache_clear()
-    families_mod._czs_weighted_coeffs.cache_clear()
+    families_mod._cs_disc_constant.cache_clear()
     for _ in range(2):
         for r in (3, 5):
             pipeline_ppr_even("v_neg", r)
             pipeline_ppr_even("v_1mt_pos", r)
             pipeline_odd_good_reduction(1, F(7, 4), r)
         pipeline_35p("v_t_pos")
-        # C_plus and C_zs at r = 3, 5 and H_35, each once over QQ[t] or QQ[s]
-        assert len(bases) == 5
-    assert all(isinstance(b, PolyRing) and b.base == QQ for b in bases)
+        # H_35 once over QQ[t]; C_plus and C_zs at r = 3, 5 take none
+        assert len(bases) == 1
+    assert bases == [PolyRing(QQ, "t")]
     assert resultants == []
 
 

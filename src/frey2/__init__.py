@@ -34,8 +34,6 @@ from .localfield import (
     FormalParam,
     LaurentRing,
     TameField,
-    laurent_residue,
-    laurent_val,
     normalize_twist,
 )
 from .pipelines import (

@@ -1,8 +1,9 @@
 """Command-line front end: verify | classify | reduce | table.
 
 Exit codes: 0 success, 1 usage error (including an r that is not an odd
-prime and an --out file that cannot be written), 2 degenerate parameter,
-3 not covered, 4 pipeline assertion failure or any other internal error.
+prime, an input too large to print and an --out file that cannot be
+written), 2 degenerate parameter, 3 not covered, 4 pipeline assertion
+failure or any other internal error.
 Known printed-source discrepancies are reported as "documented-mismatch"
 and never change the exit code; only a failed check the source states
 verbatim does.
@@ -99,11 +100,25 @@ def _parse_odd_prime(text: str) -> int:
     return r
 
 
+# Python turns no int of more than 4,300 digits into text, so each input is
+# bounded by the largest number printed from it.  `classify --oracle-check`
+# prints the odd-degree model, whose constant term is of degree r <= 19 in
+# t; `reduce --pipeline odd-good` prints c_k zeta^k for k <= 9, with
+# zeta = z'/pi^(2v+4) carrying up to the 2-power of s; `table` prints
+# t = 1 +- 2^v.  The spare power leaves room for the integer factors.
+INPUT_DIGITS = {"t": 4300 // 20, "z": 4300 // 11, "s": 4300 // 11}
+MAX_GRID_EXPONENT = 14284  # 2^14284 + 1 has 4,300 digits
+
+
 def parse_fraction(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"--{name} expects a rational like 7/4, got {text!r}") from None
+    digits = INPUT_DIGITS[name]
+    if max(abs(q.numerator), q.denominator) >= 10**digits:
+        raise CliError(f"--{name} needs a numerator and denominator of at most {digits} digits")
+    return q
 
 
 def _lemma_law_spot_checks(rng: random.Random, count: int) -> bool:
@@ -357,6 +372,8 @@ def run_table(args) -> tuple[dict, int]:
             raise CliError("--grid-exponents expects integers") from None
         if vmin > vmax:
             raise CliError(f"descending --grid-exponents {args.grid_exponents!r}")
+        if max(-vmin, vmax) > MAX_GRID_EXPONENT:
+            raise CliError(f"--grid-exponents must lie in -{MAX_GRID_EXPONENT}..{MAX_GRID_EXPONENT}")
     rows = generate_table(rs, vmin, vmax, with_oracle=not args.no_oracle)
     conflicts = [r for r in rows if r.get("conflict")]
     doc = {

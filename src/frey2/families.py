@@ -7,7 +7,7 @@ of (f-2)/(x-2), irreducible by a witness prime p at which h mod p has a
 single irreducible factor (distinct-degree factorization over the
 `PrimeField` GF(p)).  The construction is cross-asserted against the
 definitional formula f = (-1)^((r-1)/2) x h(2-x^2), so no cyclotomic
-arithmetic is ever needed.
+arithmetic is ever needed, and the recurrence runs once per r.
 
 Each formula of the paper has one home here, over any coefficient domain:
 `zs_params` is the (z, s) parametrisation of the odd-degree t-families
@@ -67,32 +67,31 @@ def _chebyshev(r: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def darmon_f(r: int) -> Poly:
-    """Monic odd degree-r polynomial with f(2cos a) = 2cos(r a)."""
+    """Monic odd degree-r polynomial with f(2cos a) = 2cos(r a), by the
+    recurrence; `omega_min_poly` cross-asserts it."""
     check_odd_prime(r)
-    f = _chebyshev(r)
-    ring = f.ring
-    h = omega_min_poly(r)
-    sign = -1 if ((r - 1) // 2) % 2 else 1
-    definitional = (ring.gen * h.compose(ring.from_coeffs([2, 0, -1]))).scale(
-        Fraction(sign)
-    )
-    if f != definitional:
-        raise Frey2Error(f"recurrence and definitional f disagree at r={r}")
-    return f
+    return _chebyshev(r)
 
 
 @lru_cache(maxsize=None)
 def omega_min_poly(r: int) -> Poly:
-    """Minimal polynomial of 2cos(2*pi/r), degree (r-1)/2, integer monic."""
-    check_odd_prime(r)
-    f = _chebyshev(r)
-    h = poly_sqrt((f - 2).exact_div(f.ring.gen - 2))
+    """Minimal polynomial of 2cos(2*pi/r), degree (r-1)/2, integer monic.
+
+    It is the square root h of (f-2)/(x-2) for f = `darmon_f(r)`, and the
+    recurrence's f must equal the definitional (-1)^((r-1)/2) x h(2-x^2).
+    """
+    f = darmon_f(r)
+    ring = f.ring
+    h = poly_sqrt((f - 2).exact_div(ring.gen - 2))
     if h.degree() != (r - 1) // 2:
         raise Frey2Error("square factor has wrong degree")
     if any(c.denominator != 1 for c in h.cs):
         raise Frey2Error("square factor is not integral")
     if irreducibility_witness(h) is None:
         raise Frey2Error(f"no irreducibility witness found for h at r={r}")
+    sign = -1 if ((r - 1) // 2) % 2 else 1
+    if f != (ring.gen * h.compose(ring.from_coeffs([2, 0, -1]))).scale(Fraction(sign)):
+        raise Frey2Error(f"recurrence and definitional f disagree at r={r}")
     return h
 
 
@@ -315,7 +314,7 @@ def verify_identities(r: int) -> IdentityReport:
         f_minus_2_factor_is=which,
         f_minus_2_printed=minus_printed,
         f_squared_minus_4=sq_ok,
-        recurrence_matches_definition=True,  # asserted inside darmon_f
+        recurrence_matches_definition=True,  # asserted inside omega_min_poly
     )
 
 

@@ -1,7 +1,9 @@
 """Exact 2-adic valuation bookkeeping.
 
-Two element representations are provided, matching the two proof styles
-the pipelines execute:
+Two local coefficient domains are provided, matching the two proof styles
+the pipelines execute.  Both answer the same three questions as methods,
+`val`, `is_integral` and `residue_bit` (the image in GF(2)), so a
+pipeline checks its claims through whichever domain it runs over:
 
 * ``TameField(r)``: the tame Eisenstein extension Q(pi) with pi^r = 2.
   An element is a coefficient tuple (a_0, ..., a_{r-1}) meaning
@@ -143,9 +145,13 @@ class TameField(Domain):
             v2(c) + Fraction(i, self.r) for i, c in enumerate(a) if c != 0
         )
 
+    def is_integral(self, a) -> bool:
+        """True when v(a) >= 0 (0 included)."""
+        return not any(a) or self.val(a) >= 0
+
     def residue_bit(self, a) -> int:
         """Image in the residue field GF(2); needs v(a) >= 0."""
-        if any(a) and self.val(a) < 0:
+        if not self.is_integral(a):
             raise NonIntegral(f"element of valuation {self.val(a)} has no residue")
         return rational_residue_bit(a[0])
 
@@ -347,6 +353,53 @@ class LaurentRing(Domain):
         qp = ap.exact_div(bp)
         return Laurent(self, [(e + ea0 - eb0, c) for e, c in enumerate(qp.cs)])
 
+    def val(self, a) -> AffineVal:
+        """Valuation of a as an affine form in the weight.
+
+        The form of one term must stay strictly minimal at every weight from
+        the declared least weight on; otherwise ValuationAmbiguous is raised
+        and the caller must raise the least weight or restructure the
+        computation.
+        """
+        if a.is_zero():
+            raise ZeroElement("valuation of 0")
+        least = self.param.least
+        forms = [AffineVal(v2(c), e) for e, c in a.terms]
+        best = min(forms, key=lambda f: (f.at(least), f.slope))
+        for f in forms:
+            if f is not best and not _strictly_below(best, f, least):
+                raise ValuationAmbiguous(
+                    f"terms {best!r} and {f!r} tie at some weight >= {least}"
+                )
+        return best
+
+    def is_integral(self, a) -> bool:
+        """Every term valuation >= 0 at every weight from the least weight on."""
+        least = self.param.least
+        return all(_nonnegative_throughout(AffineVal(v2(c), e), least) for e, c in a.terms)
+
+    def residue_bit(self, a) -> int:
+        """Reduction to the residue field GF(2).
+
+        The parameter reduces to 0, so the residue is the constant term mod 2,
+        provided every other term has positive valuation at every weight from
+        the least weight on (ValuationAmbiguous otherwise).
+        """
+        least = self.param.least
+        if not self.is_integral(a):
+            raise NonIntegral(f"{a!r} has a term of negative valuation")
+        out = 0
+        for e, c in a.terms:
+            if e == 0:
+                out = rational_residue_bit(c)
+            elif not _strictly_positive_attained(AffineVal(v2(c), e), least):
+                # the term can reach valuation 0 at an attainable weight,
+                # so the residue is not uniform in the weight
+                raise ValuationAmbiguous(
+                    f"term of exponent {e} can reach valuation 0 at some weight >= {least}"
+                )
+        return out
+
     def __eq__(self, other):
         return isinstance(other, LaurentRing) and self.param == other.param
 
@@ -363,58 +416,6 @@ def _dense(a: Laurent, shift: int):
     for e, c in a.terms:
         cs[e - shift] = c
     return cs
-
-
-def laurent_val(a: Laurent) -> AffineVal:
-    """Valuation of a Laurent element as an affine form in the weight.
-
-    The form of one term must stay strictly minimal at every weight from
-    the declared least weight on; otherwise ValuationAmbiguous is raised
-    and the caller must raise the least weight or restructure the
-    computation.
-    """
-    if a.is_zero():
-        raise ZeroElement("valuation of 0")
-    least = a.ring.param.least
-    forms = [AffineVal(v2(c), e) for e, c in a.terms]
-    best = min(forms, key=lambda f: (f.at(least), f.slope))
-    for f in forms:
-        if f is best:
-            continue
-        if not _strictly_below(best, f, least):
-            raise ValuationAmbiguous(
-                f"terms {best!r} and {f!r} tie at some weight >= {least}"
-            )
-    return best
-
-
-def laurent_integral(a: Laurent) -> bool:
-    """Every term valuation >= 0 at every weight from the least weight on."""
-    least = a.ring.param.least
-    return all(_nonnegative_throughout(AffineVal(v2(c), e), least) for e, c in a.terms)
-
-
-def laurent_residue(a: Laurent) -> int:
-    """Reduction to the residue field GF(2).
-
-    The parameter reduces to 0, so the residue is the constant term mod 2,
-    provided every other term has positive valuation at every weight from
-    the least weight on (ValuationAmbiguous otherwise).
-    """
-    least = a.ring.param.least
-    if not laurent_integral(a):
-        raise NonIntegral(f"{a!r} has a term of negative valuation")
-    out = 0
-    for e, c in a.terms:
-        if e == 0:
-            out = rational_residue_bit(c)
-        elif not _strictly_positive_attained(AffineVal(v2(c), e), least):
-            # the term can reach valuation 0 at an attainable weight,
-            # so the residue is not uniform in the weight
-            raise ValuationAmbiguous(
-                f"term of exponent {e} can reach valuation 0 at some weight >= {least}"
-            )
-    return out
 
 
 def normalize_twist(z, s, r: int):

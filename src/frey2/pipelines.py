@@ -3,11 +3,16 @@
 Each pipeline builds a curve family member E0 over an exact local
 coefficient domain, applies the appropriate substitution chain through
 `curves.apply_change` (which tracks the exact discriminant factor), and
-then *asserts* the claimed conclusions: the final model matches its
-expected display termwise, is integral, has the stated discriminant
+hands the final model to one certification tail, `_certify`.  It
+*asserts* the four claims every pipeline ends on: the final model matches
+its expected display termwise, is integral, has the stated discriminant
 valuation (identically at every weight from the declared least weight on
-in the formal cases), and has the stated special-fiber type.  A violated
-claim raises PipelineAssertionFailed rather than producing a report.
+in the formal cases), and has the stated special-fiber type.  The tail
+asks the domain through its `val`, `is_integral` and `residue_bit`, the
+valuation protocol that `LaurentRing` and `TameField` share, and reduces
+the model over GF(2) in `_fiber`, the one place that runs
+`singular_points`.  A violated claim raises PipelineAssertionFailed
+rather than producing a report.
 
 The final model's discriminant is factor * Delta(E0) by the
 transformation law (Lockhart, Trans. AMS 342, 1994), with Delta(E0) the
@@ -53,19 +58,12 @@ from .families import (
 )
 from .fibers import PointReport, SpecialFiber, fiber_kind, singular_points
 from .gf2 import GF2
-from .localfield import (
-    AffineVal,
-    FormalParam,
-    LaurentRing,
-    TameField,
-    laurent_integral,
-    laurent_residue,
-    laurent_val,
-    normalize_twist,
-)
+from .localfield import AffineVal, FormalParam, LaurentRing, TameField, normalize_twist
 
 PPR_EVEN_CASES = ("v_neg", "v_t_pos", "v_1mt_pos")
 P35_CASES = ("v_t_pos", "v_1mt_pos", "v_neg")
+SMOOTH = ("smooth", 0)
+UNIT = AffineVal(Fraction(0))
 
 
 @dataclass
@@ -93,20 +91,60 @@ class PipelineResult:
                 f"({self.fiber_kind})")
 
 
+class CertifiedFiber(NamedTuple):
+    """One certified special fiber, its singular points and their type."""
+
+    fiber: SpecialFiber
+    kind: str
+    nodes: int
+    points: list[PointReport]
+
+
+def _fiber(E: HyperEq, residue) -> CertifiedFiber:
+    """E's special fiber over GF(2), `residue` reducing each coefficient,
+    with its singular points and their type."""
+    gring = PolyRing(GF2, E.ring.var)
+    Qbar, Pbar = (Poly(gring, [residue(c) for c in F.cs]) for F in (E.Q, E.P))
+    fib = SpecialFiber(GF2, Qbar, Pbar, E.g)
+    pts = singular_points(fib)
+    return CertifiedFiber(fib, *fiber_kind(pts), pts)
+
+
+def _result(label, r, model, disc, disc_val, fib: CertifiedFiber, **rest) -> PipelineResult:
+    """A certified result: its model is integral and matches its display."""
+    return PipelineResult(
+        label=label, r=r, model=model, integral=True, disc=disc, disc_val=disc_val,
+        display_matches=True, fiber=fib.fiber, fiber_kind=fib.kind, node_count=fib.nodes,
+        points=list(fib.points), **rest,
+    )
+
+
+def _certify(label, r, ring, model, factor, expected, disc0, disc_val, fiber,
+             fiber_check=None, **rest) -> PipelineResult:
+    """The four claims every pipeline ends on, checked over its local `ring`.
+
+    `model` must equal the display `expected` = (Q, P) and be integral; its
+    discriminant, `factor` times the certified discriminant `disc0` of E0,
+    must have valuation `disc_val`; its special fiber must have type
+    `fiber` = (kind, nodes), after `fiber_check`, if given, has asserted
+    more of it.  `rest` completes the PipelineResult.
+    """
+    _require((model.Q, model.P) == expected, label, "final model matches the expected display")
+    _require(all(ring.is_integral(c) for c in model.Q.cs + model.P.cs), label,
+             "final model is integral")
+    disc = ring.mul(factor, disc0)
+    dval = ring.val(disc)
+    _require(dval == disc_val, label, f"discriminant valuation {disc_val!r}")
+    fib = _fiber(model, ring.residue_bit)
+    if fiber_check is not None:
+        fiber_check(fib)
+    _require((fib.kind, fib.nodes) == fiber, label, f"fiber type {fiber}")
+    return _result(label, r, model, disc, dval, fib, **rest)
+
+
 def _lift(p: Poly, ring: PolyRing) -> Poly:
     dom = ring.base
     return Poly(ring, [dom.from_rational(c) for c in p.cs])
-
-
-def _fiber(E: HyperEq, fld, residue) -> SpecialFiber:
-    """The special fiber of E; `residue` reduces a coefficient into `fld`."""
-    gring = PolyRing(fld, E.ring.var)
-    Qbar, Pbar = (Poly(gring, [residue(c) for c in F.cs]) for F in (E.Q, E.P))
-    return SpecialFiber(fld, Qbar, Pbar, E.g)
-
-
-def _laurent_fiber(E: HyperEq) -> SpecialFiber:
-    return _fiber(E, GF2, laurent_residue)
 
 
 def _split_factor_polys(r: int):
@@ -123,7 +161,6 @@ def pipeline_ppr_even(case: str, r: int) -> PipelineResult:
     check_odd_prime(r)
     if case not in PPR_EVEN_CASES:
         raise ValueError(f"unknown case {case!r}")
-    label = f"ppr-even/{case}/r={r}"
     g = (r - 1) // 2
     notes = []
 
@@ -150,67 +187,32 @@ def pipeline_ppr_even(case: str, r: int) -> PipelineResult:
         )
     else:
         shift = _lift(q_plus, Rx)
-    res1 = apply_change(E0, MobiusChange.y_sub(Rx, ring.from_int(2), shift))
-    model = res1.equation
-    factor = res1.factor
+    res = apply_change(E0, MobiusChange.y_sub(Rx, ring.from_int(2), shift))
+    model, factor = res.equation, res.factor
 
     if case == "v_neg":
         u = ring.gen
-        chart = MobiusChange(ring.one, ring.zero, ring.zero, u, ring.one, Rx.zero)
-        res2 = apply_change(model, chart)
-        model = res2.equation
-        factor = ring.mul(factor, res2.factor)
+        res = apply_change(model, MobiusChange(ring.one, ring.zero, ring.zero, u, ring.one, Rx.zero))
+        model, factor = res.equation, ring.mul(factor, res.factor)
         # expected display: y^2 + (x+2u) u^((r-1)/2) h(-x/u) y = -(x+2u)
-        hu = Poly(
-            Rx,
-            [ring.term(h_neg.coeff(j), g - j) for j in range(g + 1)],
-        )
+        hu = Poly(Rx, [ring.term(h_neg.coeff(j), g - j) for j in range(g + 1)])
         x_plus_2u = Poly(Rx, [ring.term(2, 1), ring.one])
-        expected_Q = x_plus_2u * hu
-        expected_P = -x_plus_2u
-        expected_disc_val = AffineVal(Fraction(0), 0)
-        expected_fiber = ("smooth", 0)
+        expected = (x_plus_2u * hu, -x_plus_2u)
+        disc_val, fiber = UNIT, SMOOTH
     elif case == "v_t_pos":
-        expected_Q = _lift(q_plus, Rx)
-        expected_P = Poly(Rx, [ring.mul(ring.neg(t), ring.from_int(2)), ring.neg(t)])
-        expected_disc_val = AffineVal(Fraction(0), (r + 3) // 2)
-        expected_fiber = ("nodal", (r + 1) // 2)
+        expected = (_lift(q_plus, Rx),
+                    Poly(Rx, [ring.mul(ring.neg(t), ring.from_int(2)), ring.neg(t)]))
+        disc_val, fiber = AffineVal(Fraction(0), (r + 3) // 2), ("nodal", (r + 1) // 2)
     else:
-        expected_Q = _lift(q_new, Rx)
         h_lift = _lift(h, Rx)
-        expected_P = -(h_lift * h_lift) + Poly(Rx, [ring.term(2, 1), ring.gen])
-        expected_disc_val = AffineVal(Fraction(0), (r - 1) // 2)
-        expected_fiber = ("nodal", (r - 1) // 2)
+        expected = (_lift(q_new, Rx),
+                    -(h_lift * h_lift) + Poly(Rx, [ring.term(2, 1), ring.gen]))
+        disc_val, fiber = AffineVal(Fraction(0), (r - 1) // 2), ("nodal", (r - 1) // 2)
 
-    display_matches = model.Q == expected_Q and model.P == expected_P
-    _require(display_matches, label, "final model matches the expected display")
-
-    integral = all(laurent_integral(c) for c in model.Q.cs + model.P.cs)
-    _require(integral, label, "final model is integral")
-
-    disc = ring.mul(factor, certified_disc(C_PLUS, r, ring, t))
-    dval = laurent_val(disc)
-    _require(dval == expected_disc_val, label, f"discriminant valuation {expected_disc_val!r}")
-
-    fib = _laurent_fiber(model)
-    pts = singular_points(fib)
-    kind, nodes = fiber_kind(pts)
-    _require((kind, nodes) == expected_fiber, label, f"fiber type {expected_fiber}")
-
-    return PipelineResult(
-        label=label,
-        r=r,
-        model=model,
-        integral=integral,
-        disc=disc,
-        disc_val=dval,
-        display_matches=display_matches,
-        fiber=fib,
-        fiber_kind=kind,
-        node_count=nodes,
-        points=pts,
-        field_of_definition="ramified-degree-r" if case == "v_neg" else "base",
-        notes=notes,
+    return _certify(
+        f"ppr-even/{case}/r={r}", r, ring, model, factor, expected,
+        certified_disc(C_PLUS, r, ring, t), disc_val, fiber,
+        field_of_definition="ramified-degree-r" if case == "v_neg" else "base", notes=notes,
     )
 
 
@@ -224,92 +226,56 @@ def pipeline_35p(case: str) -> PipelineResult:
     if case not in P35_CASES:
         raise ValueError(f"unknown case {case!r}")
     label = f"35p/{case}"
-    notes = []
+    notes, fiber_check = [], None
 
+    # the chart x = a X / d, y = e Y / d^3; the display is written in the unit w
     if case == "v_t_pos":
         ring = LaurentRing(FormalParam.positive("u", Fraction(1, 3)))
+        u = ring.gen
         t = ring.term(1, 3)  # t = u^3
-        a_scale, e_scale = ring.gen, ring.pow(ring.gen, 3)
-        expected_disc_val = AffineVal(Fraction(0), 0)
-        expected_fiber = ("smooth", 0)
+        a, d, e = u, ring.one, ring.pow(u, 3)
+        w = ring.sub(ring.one, ring.pow(u, 3))  # 1 - u^3
+        q0, p1 = ring.pow(w, 2), ring.mul(ring.from_int(3), ring.mul(u, ring.pow(w, 3)))
+        disc_val, fiber = UNIT, SMOOTH
     elif case == "v_1mt_pos":
         ring = LaurentRing(FormalParam.positive("u", Fraction(1, 5)))
+        u = ring.gen
         t = ring.sub(ring.one, ring.term(1, 5))  # t = 1 - u^5
-        a_scale, e_scale = ring.pow(ring.gen, 3), ring.pow(ring.gen, 9)
-        expected_disc_val = AffineVal(Fraction(0), 0)
-        expected_fiber = ("smooth", 0)
+        a, d, e = ring.pow(u, 3), ring.one, ring.pow(u, 9)
+        w = ring.sub(ring.one, ring.pow(u, 5))  # 1 - u^5
+        q0, p1 = ring.mul(w, u), ring.mul(ring.from_int(3), ring.pow(w, 2))
+        disc_val, fiber = UNIT, SMOOTH
     else:
         ring = LaurentRing(FormalParam.positive("tau", 1))  # tau = 1/t
+        u = ring.gen
         t = ring.term(1, -1)
-        a_scale, e_scale = None, ring.one
-        expected_disc_val = AffineVal(Fraction(0), 2)
-        expected_fiber = ("nodal", 2)
+        a, d, e = ring.one, u, ring.one
+        w = ring.sub(u, ring.one)  # tau - 1, the unit (1-t)/t in disguise
+        q0, p1 = ring.pow(w, 2), ring.mul(ring.from_int(3), ring.pow(w, 3))
+        disc_val, fiber = AffineVal(Fraction(0), 2), ("nodal", 2)
+        # tau -> 0 sends the unit w = (1-t)/t = tau - 1 to -1 = 1 mod 2
+        notes.append("toric chart: unit parameter w = (1-t)/t with residue 1")
+
+        def fiber_check(fib):
+            gring = fib.fiber.Q.ring
+            _require(
+                fib.fiber.Q == Poly(gring, [1, 0, 0, 1]) and fib.fiber.P == Poly(gring, [1, 1]),
+                label,
+                "special fiber y^2 + y(x^3 + 1) = x + 1",
+            )
+            _require(
+                all(p.field.k == 2 and p.kind == "node" for p in fib.points)
+                and len(fib.points) == 2,
+                label,
+                "two nodes at the primitive cube roots of unity in GF(4)",
+            )
 
     Rx = PolyRing(ring, "x")
     E0 = build_curve(H_35, t=t, dom=ring).equation
-    if case == "v_neg":
-        chart = MobiusChange(ring.one, ring.zero, ring.zero, ring.gen, ring.one, Rx.zero)
-    else:
-        chart = MobiusChange(a_scale, ring.zero, ring.zero, ring.one, e_scale, Rx.zero)
-    res = apply_change(E0, chart)
-    model = res.equation
-    factor = res.factor
-
-    u, three = ring.gen, ring.from_int(3)
-    if case == "v_t_pos":
-        w = ring.sub(ring.one, ring.pow(u, 3))  # 1 - u^3
-        q0, p1 = ring.pow(w, 2), ring.mul(three, ring.mul(u, ring.pow(w, 3)))
-    elif case == "v_1mt_pos":
-        w = ring.sub(ring.one, ring.pow(u, 5))  # 1 - u^5
-        q0, p1 = ring.mul(w, u), ring.mul(three, ring.pow(w, 2))
-    else:
-        w = ring.sub(u, ring.one)  # tau - 1, the unit (1-t)/t in disguise
-        q0, p1 = ring.pow(w, 2), ring.mul(three, ring.pow(w, 3))
-    expected_Q, expected_P = h35_polys(Rx, q0, p1)
-
-    display_matches = model.Q == expected_Q and model.P == expected_P
-    _require(display_matches, label, "final model matches the expected display")
-
-    integral = all(laurent_integral(c) for c in model.Q.cs + model.P.cs)
-    _require(integral, label, "final model is integral")
-
-    disc = ring.mul(factor, certified_disc(H_35, None, ring, t))
-    dval = laurent_val(disc)
-    _require(dval == expected_disc_val, label, f"discriminant valuation {expected_disc_val!r}")
-
-    fib = _laurent_fiber(model)
-    if case == "v_neg":
-        # tau -> 0 sends the unit w = (1-t)/t = tau - 1 to -1 = 1 mod 2
-        notes.append("toric chart: unit parameter w = (1-t)/t with residue 1")
-        gring = fib.Q.ring
-        _require(
-            fib.Q == Poly(gring, [1, 0, 0, 1]) and fib.P == Poly(gring, [1, 1]),
-            label,
-            "special fiber y^2 + y(x^3 + 1) = x + 1",
-        )
-
-    pts = singular_points(fib)
-    kind, nodes = fiber_kind(pts)
-    _require((kind, nodes) == expected_fiber, label, f"fiber type {expected_fiber}")
-    if case == "v_neg":
-        _require(
-            all(p.field.k == 2 and p.kind == "node" for p in pts) and len(pts) == 2,
-            label,
-            "two nodes at the primitive cube roots of unity in GF(4)",
-        )
-
-    return PipelineResult(
-        label=label,
-        r=None,
-        model=model,
-        integral=integral,
-        disc=disc,
-        disc_val=dval,
-        display_matches=display_matches,
-        fiber=fib,
-        fiber_kind=kind,
-        node_count=nodes,
-        points=pts,
+    res = apply_change(E0, MobiusChange(a, ring.zero, ring.zero, d, e, Rx.zero))
+    return _certify(
+        label, None, ring, res.equation, res.factor, h35_polys(Rx, q0, p1),
+        certified_disc(H_35, None, ring, t), disc_val, fiber, fiber_check,
         field_of_definition={
             "v_t_pos": "ramified-degree-3",
             "v_1mt_pos": "ramified-degree-5",
@@ -373,15 +339,13 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
         L.pi_power(v + 2), L.zero, L.zero, L.one, L.pi_power(r * (v + 2) // 2),
         Rx.const(L.pi_power(r * v // 2)),
     ))
-    model = res.equation
-
     notes = [
         "second substitution scales x by pi^2 (termwise degree accounting; "
         "a plain pi scaling does not reproduce the stated final model)",
         "integrality of the constant term rests on s'/2^v2(s') = 1 mod 4, "
         "i.e. the s-form of the unit congruence",
+        f"twist delta = {delta}, normalized (z', s') = ({z1}, {s1})",
     ]
-    expected_Q = Poly(Rx, [L.one])
     s_unit = s1 / Fraction(2) ** v
     const = (s_unit - 1) / 4
     exp_cs = [L.zero] * (r + 1)
@@ -391,58 +355,21 @@ def pipeline_odd_good_reduction(z, s, r: int) -> PipelineResult:
             L.from_rational(ck * z1**k), L.pi_power(-(2 * v + 4) * k)
         )
     exp_cs[0] = L.add(exp_cs[0], L.from_rational(const))
-    expected_P = Poly(Rx, exp_cs)
 
-    display_matches = model.Q == expected_Q and model.P == expected_P
-    _require(display_matches, label, "final model matches the stated closed form")
-
-    integral = all(
-        (not any(c)) or L.val(c) >= 0 for c in model.Q.cs + model.P.cs
-    )
-    _require(integral, label, "final model is integral")
-
-    disc = L.mul(res.factor, L.from_rational(certified_disc(C_ZS, r, QQ, (z1, s1))))
-    dval = L.val(disc)
-    _require(dval == 0, label, "unit discriminant")
-
-    fib = _fiber(model, GF2, L.residue_bit)
-    pts = singular_points(fib)
-    kind, nodes = fiber_kind(pts)
-    _require(kind == "smooth", label, "smooth special fiber")
-
+    model = res.equation
     base_defined = all(L.is_base(c) for c in model.Q.cs + model.P.cs)
-    fod = field_of_definition(z, s, r)
+    result = _certify(
+        label, r, L, model, res.factor, (Poly(Rx, [L.one]), Poly(Rx, exp_cs)),
+        L.from_rational(certified_disc(C_ZS, r, QQ, (z1, s1))), UNIT, SMOOTH,
+        field_of_definition="base" if base_defined else "ramified-degree-r",
+        base_defined=base_defined, notes=notes,
+    )
     _require(
-        base_defined == fod,
+        base_defined == field_of_definition(z, s, r),
         label,
         "base-definition matches the congruence criterion r | v2(s'^2)+4",
     )
-
-    return PipelineResult(
-        label=label,
-        r=r,
-        model=model,
-        integral=integral,
-        disc=disc,
-        disc_val=dval,
-        display_matches=display_matches,
-        fiber=fib,
-        fiber_kind=kind,
-        node_count=nodes,
-        points=pts,
-        field_of_definition="base" if base_defined else "ramified-degree-r",
-        base_defined=base_defined,
-        notes=notes + [f"twist delta = {delta}, normalized (z', s') = ({z1}, {s1})"],
-    )
-
-
-class CertifiedFiber(NamedTuple):
-    """One certified special fiber, its singular points and their type."""
-
-    fiber: SpecialFiber
-    kind: str
-    nodes: int
-    points: list[PointReport]
+    return result
 
 
 @dataclass(frozen=True)
@@ -488,22 +415,14 @@ class OddGoodCertificate:
         Rx = PolyRing(L, "x")
         A = (s1 / Fraction(2) ** v - 1) / 4
         model = HyperEq(Rx.one, czs_polynomial(r, zeta, L.from_rational(A), Rx), (r - 1) // 2)
-        fib = self.fibers[L.residue_bit(zeta), rational_residue_bit(A)]
         base_defined = L.is_base(zeta)
-        return PipelineResult(
-            label=f"odd-good/r={r}",
-            r=r,
-            model=model,
-            integral=True,
-            disc=L.from_rational(
+        return _result(
+            f"odd-good/r={r}", r, model,
+            L.from_rational(
                 certified_disc(C_ZS, r, QQ, (z1, s1)) / Fraction(2) ** ((v + 2) * (r - 1))
             ),
-            disc_val=self.disc_val,
-            display_matches=True,
-            fiber=fib.fiber,
-            fiber_kind=fib.kind,
-            node_count=fib.nodes,
-            points=list(fib.points),
+            self.disc_val,
+            self.fibers[L.residue_bit(zeta), rational_residue_bit(A)],
             field_of_definition="base" if base_defined else "ramified-degree-r",
             base_defined=base_defined,
             notes=[f"certified for its congruence class by odd_good_certificate({r})",
@@ -579,11 +498,8 @@ def odd_good_certificate(r: int) -> OddGoodCertificate:
     fibers = {}
     for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
         rep = HyperEq(Qx.one, czs_polynomial(r, Fraction(key[0]), Fraction(key[1]), Qx), g)
-        fib = _fiber(rep, GF2, rational_residue_bit)
-        pts = singular_points(fib)
-        kind, nodes = fiber_kind(pts)
-        _require(kind == "smooth", label, f"smooth special fiber at (zeta, A) = {key} mod pi")
-        fibers[key] = CertifiedFiber(fib, kind, nodes, pts)
+        fibers[key] = fib = _fiber(rep, rational_residue_bit)
+        _require(fib.kind == "smooth", label, f"smooth special fiber at (zeta, A) = {key} mod pi")
 
     dring = PolyRing(PolyRing(QQ, "A"), "zeta")
     S = dring.add(dring.from_rational(Fraction(1, 4)), dring.const(dring.base.gen))

@@ -54,8 +54,8 @@ def test_criterion_1_identity_suite():
     start = time.monotonic()
     x = PolyRing(QQ, "x").gen
     for r in IDENTITY_PRIMES:
-        f = darmon_f(r)  # internally asserts recurrence == definitional formula
-        h = omega_min_poly(r)
+        f = darmon_f(r)
+        h = omega_min_poly(r)  # internally asserts recurrence == definitional formula
         h_neg = h.compose(-x)
         assert f + 2 == (x + 2) * h_neg * h_neg, r
         prod = h * h_neg

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -65,6 +66,41 @@ def test_descending_range_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("usage error: descending")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--signature", "ppr-even", "--r", "3", "--t", "1e5000"],
+        ["table", "--r", "3", "--grid-exponents", "14300..14300"],
+        ["reduce", "--pipeline", "odd-good", "--z", "1e500", "--s", "7/4", "--r", "19"],
+    ],
+    ids=["classify", "table", "reduce"],
+)
+def test_input_too_large_to_print_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: --")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # numerators and denominators of 215 and 390 digits
+        ["classify", "--signature", "rrp", "--r", "19", "--t", f"{2**714}/{10**215 - 1}",
+         "--oracle-check"],
+        ["table", "--r", "3", "--grid-exponents", "14284..14284"],
+        ["reduce", "--pipeline", "odd-good", "--z", str(10**390 - 1), "--s", f"1/{2**1294}",
+         "--r", "19"],
+    ],
+    ids=["classify", "table", "reduce"],
+)
+def test_largest_accepted_input_prints(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert max(len(n) for n in re.findall(r"\d+", out)) > 3800
 
 
 def test_verify_exit_zero_with_documented_mismatches(capsys):

@@ -49,6 +49,25 @@ def test_omega_min_poly_examples():
     assert omega_min_poly(7) == x**3 + x * x - 2 * x - 1
 
 
+def test_recurrence_runs_once_per_r(monkeypatch):
+    """f and h at one r share one run of the recurrence V_r."""
+    calls = []
+    real = families_mod._chebyshev
+
+    def counted(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(families_mod, "_chebyshev", counted)
+    darmon_f.cache_clear()
+    omega_min_poly.cache_clear()
+    for r in ALL_R:
+        assert omega_min_poly(r) == omega_min_poly(r)
+        assert darmon_f(r).degree() == r
+        assert len(c_coefficients(r)) == (r - 1) // 2
+    assert calls == list(ALL_R)
+
+
 def test_not_odd_prime():
     for bad in (2, 4, 9, 1, 15):
         with pytest.raises(NotOddPrime):

@@ -20,9 +20,6 @@ from frey2.localfield import (
     _nonnegative_throughout,
     _strictly_below,
     _strictly_positive_attained,
-    laurent_integral,
-    laurent_residue,
-    laurent_val,
     normalize_twist,
 )
 
@@ -161,6 +158,9 @@ def test_tame_monomial_inverse_matches_ext_gcd(r):
 
 
 def test_tame_residue():
+    assert T3.is_integral(T3.zero)
+    assert T3.is_integral(T3.from_rational(F(7, 3)))
+    assert not T3.is_integral(T3.pi_power(-1))
     assert T3.residue_bit(T3.from_rational(F(7, 3))) == 1
     assert T3.residue_bit(T3.add(T3.from_rational(2), T3.pi)) == 0
     with pytest.raises(NonIntegral):
@@ -172,47 +172,47 @@ def test_tame_residue():
 
 def test_laurent_val_examples():
     Ru = LaurentRing(FormalParam.positive("u", F(1, 7)))
-    assert laurent_val(Ru.add(Ru.term(-1), Ru.term(1, 3))) == AffineVal(F(0), 0)
+    assert Ru.val(Ru.add(Ru.term(-1), Ru.term(1, 3))) == AffineVal(F(0), 0)
     # 2/u + 4: the falling form 1 - w stays below 2 for every weight
-    assert laurent_val(Ru.add(Ru.term(2, -1), Ru.term(4))) == AffineVal(F(1), -1)
+    assert Ru.val(Ru.add(Ru.term(2, -1), Ru.term(4))) == AffineVal(F(1), -1)
 
     # 4 + 2u^3: the forms 2 and 1 + 3w tie at the least weight 1/3
     R3 = LaurentRing(FormalParam.positive("u", F(1, 3)))
     with pytest.raises(ValuationAmbiguous):
-        laurent_val(R3.add(R3.term(4), R3.term(2, 3)))
+        R3.val(R3.add(R3.term(4), R3.term(2, 3)))
 
 
 def test_laurent_val_zero_raises():
     Ru = LaurentRing(FormalParam.positive("u", 1))
     with pytest.raises(ZeroElement):
-        laurent_val(Ru.zero)
+        Ru.val(Ru.zero)
 
 
 def test_laurent_residue_examples():
     Ru = LaurentRing(FormalParam.positive("u", F(1, 7)))
     sq = Ru.mul(Ru.add(Ru.term(-1), Ru.term(1, 3)), Ru.add(Ru.term(-1), Ru.term(1, 3)))
-    assert laurent_residue(sq) == 1
+    assert Ru.residue_bit(sq) == 1
 
     # the (3,5,p) toric chart: tau reduces to 0, so tau - 1 reduces to 1
     Rt = LaurentRing(FormalParam.positive("tau", 1))
     w = Rt.sub(Rt.gen, Rt.one)
     for elt in (Rt.pow(w, 2), Rt.mul(Rt.from_int(3), Rt.pow(w, 3)), Rt.pow(w, 4)):
-        assert laurent_residue(elt) == 1
-    assert laurent_residue(Rt.mul(Rt.from_int(2), Rt.pow(w, 2))) == 0
+        assert Rt.residue_bit(elt) == 1
+    assert Rt.residue_bit(Rt.mul(Rt.from_int(2), Rt.pow(w, 2))) == 0
 
     # u/2 has valuation w - 1 < 0 at the least weight 1/3
     R3 = LaurentRing(FormalParam.positive("u", F(1, 3)))
     with pytest.raises(NonIntegral):
-        laurent_residue(R3.term(F(1, 2), 1))
+        R3.residue_bit(R3.term(F(1, 2), 1))
 
 
 def test_laurent_residue_refuses_nonuniform():
     # u/2 with least weight 1: integral, but valuation 0 is attained at w = 1
     R = LaurentRing(FormalParam.positive("u", 1))
     elt = R.term(F(1, 2), 1)
-    assert laurent_integral(elt)
+    assert R.is_integral(elt)
     with pytest.raises(ValuationAmbiguous):
-        laurent_residue(elt)
+        R.residue_bit(elt)
 
 
 def test_laurent_exact_div():
@@ -343,24 +343,24 @@ def test_laurent_least_weight_verdicts_match_evaluation(terms, least):
         low = min(f.at(w) for f in forms.values())
         winners |= {e for e, f in forms.items() if f.at(w) == low}
     if len(winners) == 1:
-        assert laurent_val(a) == forms[winners.pop()]
+        assert R.val(a) == forms[winners.pop()]
     else:
         with pytest.raises(ValuationAmbiguous):
-            laurent_val(a)
+            R.val(a)
 
     integral = all(f.at(w) >= 0 for f in forms.values() for w in ws)
-    assert laurent_integral(a) == integral
+    assert R.is_integral(a) == integral
 
     # residue: the constant term mod 2, once every other term is positive
     if not integral:
         with pytest.raises(NonIntegral):
-            laurent_residue(a)
+            R.residue_bit(a)
     elif any(f.at(w) <= 0 for e, f in forms.items() if e != 0 for w in ws):
         with pytest.raises(ValuationAmbiguous):
-            laurent_residue(a)
+            R.residue_bit(a)
     else:
         const = dict(a.terms).get(0, F(0))
-        assert laurent_residue(a) == (1 if const and v2(const) == 0 else 0)
+        assert R.residue_bit(a) == (1 if const and v2(const) == 0 else 0)
 
 
 # --- twist normalization ------------------------------------------------------

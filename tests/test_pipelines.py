@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,12 +11,12 @@ from frey2 import serialize
 from frey2.algebra import QQ, PolyRing, v2
 from frey2.classify import NOT_COVERED, ODD_FAMILY, cross_validate
 from frey2.cli import EXIT_ASSERTION, generate_table, main
-from frey2.curves import equation_str, hyper_discriminant
+from frey2.curves import ChangeResult, HyperEq, equation_str, hyper_discriminant
 from frey2.errors import HypothesisViolated, PipelineAssertionFailed
 from frey2.families import zs_params
 from frey2.fibers import NODE, PointReport
 from frey2.gf2 import GF2
-from frey2.localfield import AffineVal, TameField
+from frey2.localfield import AffineVal, LaurentRing, TameField
 from frey2.pipelines import (
     P35_CASES,
     PPR_EVEN_CASES,
@@ -298,6 +299,83 @@ def test_pipeline_computes_singular_points_once(monkeypatch, run):
     res = run()
     assert len(calls) == 1
     assert res.points == real(res.fiber)
+
+
+def _break_display(monkeypatch):
+    real = pipelines_mod.apply_change
+
+    def change(E, M):
+        res = real(E, M)
+        eq = res.equation
+        return ChangeResult(HyperEq(eq.Q, eq.P + eq.ring.one, eq.g), res.factor)
+
+    monkeypatch.setattr(pipelines_mod, "apply_change", change)
+
+
+def _break_integrality(monkeypatch):
+    for ring in (LaurentRing, TameField):
+        monkeypatch.setattr(ring, "is_integral", lambda self, a: False)
+
+
+def _break_valuation(monkeypatch):
+    real = pipelines_mod.certified_disc
+
+    def doubled(family, r, dom, params):
+        return dom.mul(dom.from_int(2), real(family, r, dom, params))
+
+    monkeypatch.setattr(pipelines_mod, "certified_disc", doubled)
+
+
+def _break_fiber(monkeypatch):
+    real = pipelines_mod.singular_points
+
+    def one_more_node(fib, *args):
+        return real(fib, *args) + [PointReport("affine", GF2, 0, 0, NODE)]
+
+    monkeypatch.setattr(pipelines_mod, "singular_points", one_more_node)
+
+
+TAIL_RUNS = {
+    "ppr-even": (lambda: pipeline_ppr_even("v_t_pos", 3), "ppr-even/v_t_pos/r=3",
+                 "0 + 3*w", ("nodal", 2)),
+    "35p": (lambda: pipeline_35p("v_t_pos"), "35p/v_t_pos", "0", ("smooth", 0)),
+    "odd-good": (lambda: pipeline_odd_good_reduction(1, F(7, 4), 3), "odd-good/r=3",
+                 "0", ("smooth", 0)),
+}
+
+
+@pytest.mark.parametrize("pipeline", TAIL_RUNS)
+@pytest.mark.parametrize("claim", ["display", "integrality", "valuation", "fiber"])
+def test_each_tail_claim_fires_in_each_pipeline(monkeypatch, pipeline, claim):
+    """The shared certification tail refuses a broken model, valuation or fiber."""
+    run, label, disc_val, fiber = TAIL_RUNS[pipeline]
+    breaks, text = {
+        "display": (_break_display, "final model matches the expected display"),
+        "integrality": (_break_integrality, "final model is integral"),
+        "valuation": (_break_valuation, f"discriminant valuation {disc_val}"),
+        "fiber": (_break_fiber, f"fiber type {fiber}"),
+    }[claim]
+    run()
+    breaks(monkeypatch)
+    with pytest.raises(PipelineAssertionFailed,
+                       match=re.escape(f"[{label}] violated claim: {text}")) as info:
+        run()
+    assert str(info.value) == f"[{label}] violated claim: {text}"
+
+
+def test_toric_fiber_claims_fire(monkeypatch):
+    """35p/v_neg checks its special fiber and its two GF(4) nodes."""
+    _break_fiber(monkeypatch)
+    with pytest.raises(PipelineAssertionFailed, match=re.escape(
+            "[35p/v_neg] violated claim: two nodes at the primitive cube roots "
+            "of unity in GF(4)")):
+        pipeline_35p("v_neg")
+    monkeypatch.undo()
+    real = LaurentRing.residue_bit
+    monkeypatch.setattr(LaurentRing, "residue_bit", lambda self, a: 1 - real(self, a))
+    with pytest.raises(PipelineAssertionFailed, match=re.escape(
+            "[35p/v_neg] violated claim: special fiber y^2 + y(x^3 + 1) = x + 1")):
+        pipeline_35p("v_neg")
 
 
 def _assert_certificate_path_is_the_chain(signature, r, t):

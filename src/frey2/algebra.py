@@ -2,9 +2,10 @@
 
 A *domain* object knows how to add, multiply, and exactly divide its
 elements; elements themselves are plain values (``Fraction`` for the
-rationals, ``Poly`` for polynomial coefficient rings, ints for finite
-fields, tuples for tame local fields).  Polynomials are immutable
-coefficient tuples, lowest degree first, with no trailing zeros.
+rationals, ``Poly`` for polynomial coefficient rings, ints for the binary
+fields GF(2^k) of `gf2`, the only finite fields in use, tuples for tame
+local fields).  Polynomials are immutable coefficient tuples, lowest
+degree first, with no trailing zeros.
 
 Resultants are computed by the subresultant polynomial remainder sequence
 (PRS; Collins 1967, Cohen GTM 138 Algorithm 3.3.7): O(n^2) ring operations
@@ -25,7 +26,7 @@ multiplied once, and the digits divided by L_a*L_b are the coefficients.
 Every coefficient of the cleared product is bounded by
 min(len a, len b) * max|a_i| * max|b_j| < 2^(B-1) (see `_rational_product`).
 Products over every other base (QQ[t] as the base of QQ[t][x], tame
-fields, finite fields) run the schoolbook loop, whose inner products over
+fields, GF(2^k)) run the schoolbook loop, whose inner products over
 QQ are packed in turn.
 
 A closed form in one variable t with integer constants, written against
@@ -38,7 +39,7 @@ of any packed value in time linear in its size.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import (
     DivisionByZero,
@@ -237,57 +238,6 @@ class IntegerRing(Domain):
 
 
 ZZ = IntegerRing()
-
-
-class PrimeField(Domain):
-    """The field GF(p) of integers mod a prime p, elements are ints 0..p-1."""
-
-    zero = 0
-    one = 1
-    is_field = True
-
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise ValueError(f"{p} is not a prime")
-        self.order = p
-
-    def add(self, a, b):
-        return (a + b) % self.order
-
-    def sub(self, a, b):
-        return (a - b) % self.order
-
-    def neg(self, a):
-        return -a % self.order
-
-    def mul(self, a, b):
-        return a * b % self.order
-
-    def from_int(self, n):
-        return n % self.order
-
-    def exact_div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_unit(self, a):
-        return a != 0
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in GF({self.order})")
-        return pow(a, -1, self.order)
-
-    def characteristic(self):
-        return self.order
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.order == other.order
-
-    def __hash__(self):
-        return hash(("PrimeField", self.order))
-
-    def __repr__(self):
-        return f"GF({self.order})"
 
 
 class Poly:
@@ -860,42 +810,6 @@ def ext_gcd(A: Poly, B: Poly):
         return r0, u0, v0
     c = ring.base.inv(r0.lc())
     return r0.scale(c), u0.scale(c), v0.scale(c)
-
-
-def poly_sqrt(P: Poly) -> Poly:
-    """Exact square root of a monic even-degree polynomial.
-
-    Coefficients are matched from the top down; raises InexactDivision if
-    P is not a perfect square.  Needs characteristic 0.
-    """
-    if P.is_zero():
-        return P
-    n = P.degree()
-    if n % 2:
-        raise InexactDivision("odd degree is never a perfect square")
-    base = P.base
-    if not base.is_unit(P.lc()):
-        raise InexactDivision("leading coefficient not invertible")
-    m = n // 2
-    ring = P.ring
-    # leading coefficient of the root: requires lc(P) to be a square; the
-    # monic case (the only one used here) is immediate.
-    if P.lc() != base.one:
-        raise InexactDivision("poly_sqrt implemented for monic input only")
-    g = [base.zero] * (m + 1)
-    g[m] = base.one
-    gp = Poly(ring, g)
-    two = base.from_int(2)
-    for i in range(m - 1, -1, -1):
-        # match coefficient of x^(m+i)
-        diff = P - gp * gp
-        c = diff.coeff(m + i)
-        gi = base.exact_div(c, two)
-        g[i] = gi
-        gp = Poly(ring, g)
-    if not (gp * gp - P).is_zero():
-        raise InexactDivision("not a perfect square")
-    return gp
 
 
 def poly_str(p: Poly, var=None) -> str:

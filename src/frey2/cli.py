@@ -72,6 +72,9 @@ class CliError(Exception):
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
+        if message.startswith("argument --grid-exponents"):
+            # argparse takes a value that starts with "-" for an option
+            message += "; a negative range is written --grid-exponents=LO..HI"
         raise CliError(message, EXIT_USAGE)
 
 
@@ -111,13 +114,20 @@ MAX_GRID_EXPONENT = 14284  # 2^14284 + 1 has 4,300 digits
 
 
 def parse_fraction(text: str, name: str) -> Fraction:
+    digits = INPUT_DIGITS[name]
+    too_large = CliError(f"--{name} needs a numerator and denominator of at most {digits} digits")
     try:
+        # m * 10^e puts at least |e| - len(m) digits into the numerator (e > 0)
+        # or the denominator (e < 0), so a larger |e| is refused before
+        # Fraction expands 10^|e|; a zero mantissa is refused with it
+        mantissa, _, exponent = text.lower().partition("e")
+        if exponent and abs(int(exponent)) > len(mantissa) + digits:
+            raise too_large
         q = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"--{name} expects a rational like 7/4, got {text!r}") from None
-    digits = INPUT_DIGITS[name]
     if max(abs(q.numerator), q.denominator) >= 10**digits:
-        raise CliError(f"--{name} needs a numerator and denominator of at most {digits} digits")
+        raise too_large
     return q
 
 

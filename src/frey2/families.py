@@ -1,13 +1,13 @@
 """The Frey hyperelliptic curve families and their printed invariants.
 
-`darmon_f` builds the degree-r companion polynomial by the three-term
-recurrence V_{k+1} = x V_k - V_{k-1} (V_0 = 2, V_1 = x); `omega_min_poly`
-recovers the minimal polynomial h of 2cos(2*pi/r) as the exact square root
-of (f-2)/(x-2), irreducible by a witness prime p at which h mod p has a
-single irreducible factor (distinct-degree factorization over the
-`PrimeField` GF(p)).  The construction is cross-asserted against the
-definitional formula f = (-1)^((r-1)/2) x h(2-x^2), so no cyclotomic
-arithmetic is ever needed, and the recurrence runs once per r.
+The three-term recurrence V_{k+1} = x V_k - V_{k-1} (V_0 = 2, V_1 = x)
+runs once per r and builds both polynomials every family rests on:
+`darmon_f` is f = V_r, and `omega_min_poly` is the minimal polynomial
+h = 1 + V_1 + ... + V_m of 2cos(2*pi/r), m = (r-1)/2.  It is minimal by
+the cyclotomic identity x^m h(x + 1/x) = 1 + x + ... + x^(r-1), whose
+right side is irreducible for every prime r (Eisenstein), so no search is
+needed.  Both that identity and the definitional formula
+f = (-1)^m x h(2-x^2) are checked at each r.
 
 Each formula of the paper has one home here, over any coefficient domain:
 `zs_params` is the (z, s) parametrisation of the odd-degree t-families
@@ -30,18 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (
-    Poly,
-    PolyRing,
-    PrimeField,
-    QQ,
-    check_odd_prime,
-    kronecker_coeffs,
-    poly_sqrt,
-)
+from .algebra import Poly, PolyRing, QQ, check_odd_prime, kronecker_coeffs
 from .curves import HyperEq, hyper_discriminant
 from .errors import DegenerateParameter, Frey2Error, _require
-from .gf2 import irreducible_factor_degrees
 
 C_S = "C_s"
 C_PLUS = "C_plus"
@@ -55,43 +46,49 @@ ALL_FAMILIES = (C_S, C_PLUS, C_MINUS, C_ZS, H_RR, H_2R, H_35)
 CLOSED_FORM_FAMILIES = (C_ZS, C_PLUS, H_RR, H_2R, H_35)
 
 
-def _chebyshev(r: int) -> Poly:
-    """V_r by the recurrence V_{k+1} = x V_k - V_{k-1}, V_0 = 2, V_1 = x."""
+@lru_cache(maxsize=None)
+def _chebyshev(r: int) -> tuple[Poly, ...]:
+    """V_0..V_r by the recurrence V_{k+1} = x V_k - V_{k-1}, V_0 = 2, V_1 = x."""
+    check_odd_prime(r)
     ring = PolyRing(QQ, "x")
     x = ring.gen
-    a, b = ring.from_coeffs([2]), x
+    vs = [ring.from_coeffs([2]), x]
     for _ in range(r - 1):
-        a, b = b, x * b - a
-    return b
+        vs.append(x * vs[-1] - vs[-2])
+    return tuple(vs)
 
 
-@lru_cache(maxsize=None)
 def darmon_f(r: int) -> Poly:
-    """Monic odd degree-r polynomial with f(2cos a) = 2cos(r a), by the
-    recurrence; `omega_min_poly` cross-asserts it."""
-    check_odd_prime(r)
-    return _chebyshev(r)
+    """Monic odd degree-r polynomial with f(2cos a) = 2cos(r a): V_r."""
+    return _chebyshev(r)[r]
 
 
 @lru_cache(maxsize=None)
 def omega_min_poly(r: int) -> Poly:
-    """Minimal polynomial of 2cos(2*pi/r), degree (r-1)/2, integer monic.
+    """Minimal polynomial h of 2cos(2*pi/r), integer monic of degree m = (r-1)/2.
 
-    It is the square root h of (f-2)/(x-2) for f = `darmon_f(r)`, and the
-    recurrence's f must equal the definitional (-1)^((r-1)/2) x h(2-x^2).
+    h = 1 + V_1 + ... + V_m, since V_k(x + 1/x) = x^k + x^-k makes
+    x^m h(x + 1/x) the cyclotomic polynomial 1 + x + ... + x^(r-1).  That
+    is irreducible for every prime r (Eisenstein at r on Phi_r(x + 1)), and
+    a factorization h = a b would factor it as x^deg(a) a(x + 1/x) times
+    x^deg(b) b(x + 1/x); so h is irreducible with no search.  Both the
+    cyclotomic identity and the definitional f = (-1)^m x h(2 - x^2) are
+    checked, the lift by Horner in y = x + 1/x.
     """
-    f = darmon_f(r)
-    ring = f.ring
-    h = poly_sqrt((f - 2).exact_div(ring.gen - 2))
-    if h.degree() != (r - 1) // 2:
-        raise Frey2Error("square factor has wrong degree")
-    if any(c.denominator != 1 for c in h.cs):
-        raise Frey2Error("square factor is not integral")
-    if irreducibility_witness(h) is None:
-        raise Frey2Error(f"no irreducibility witness found for h at r={r}")
-    sign = -1 if ((r - 1) // 2) % 2 else 1
-    if f != (ring.gen * h.compose(ring.from_coeffs([2, 0, -1]))).scale(Fraction(sign)):
-        raise Frey2Error(f"recurrence and definitional f disagree at r={r}")
+    vs = _chebyshev(r)
+    m = (r - 1) // 2
+    h = sum(vs[1:m + 1], vs[0] - 1)
+    lift = [h.lc()]  # x^n h(x + 1/x), n = deg h: lift <- lift (x^2 + 1) + h_k x^(n-k)
+    n = h.degree()
+    for k in range(n - 1, -1, -1):
+        lift = [a + b for a, b in zip(lift + [0, 0], [0, 0] + lift)]
+        lift[n - k] += h.cs[k]
+    label = f"omega_min_poly, r={r}"
+    _require(lift == [1] * r, label, "x^m h(x + 1/x) = 1 + x + ... + x^(r-1)")
+    ring = h.ring
+    sign = Fraction(-1 if m % 2 else 1)
+    _require(vs[r] == (ring.gen * h.compose(ring.from_coeffs([2, 0, -1]))).scale(sign),
+             label, "f = (-1)^m x h(2 - x^2)")
     return h
 
 
@@ -99,29 +96,6 @@ def c_coefficients(r: int) -> list[Fraction]:
     """c_1..c_((r-1)/2) with f = x^r + sum_k c_k x^(r-2k)."""
     f = darmon_f(r)
     return [f.coeff(r - 2 * k) for k in range(1, (r - 1) // 2 + 1)]
-
-
-# --- irreducibility over Q via a good-reduction witness prime ---------------
-
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)
-
-
-def irreducibility_witness(h: Poly) -> int | None:
-    """A prime p with h irreducible mod p, proving irreducibility over Q.
-
-    h mod p must keep its degree, and a single irreducible factor of that
-    degree (distinct-degree factorization) means it is irreducible.
-    """
-    n = h.degree()
-    for p in _SMALL_PRIMES:
-        field = PrimeField(p)
-        hp = h.map_coeffs(field.from_rational, PolyRing(field, h.ring.var))
-        if hp.degree() == n and irreducible_factor_degrees(hp) == {n}:
-            return p
-    return None
 
 
 # --- family construction ----------------------------------------------------
@@ -280,11 +254,9 @@ class IdentityReport:
     f: Poly
     h: Poly
     f_plus_2_printed: bool          # f+2 = (x+2) h(-x)^2
-    f_minus_2_square_factor: Poly   # exact square factor of (f-2)/(x-2)
-    f_minus_2_factor_is: str        # 'h(x)' | 'h(-x)' | 'other'
+    f_minus_2_factor_is: str        # square factor of (f-2)/(x-2): 'h(x)' | 'h(-x)' | 'other'
     f_minus_2_printed: bool         # the printed form f-2 = (x-2) h(-x)^2
     f_squared_minus_4: bool         # f^2-4 = (x^2-4)(h(x)h(-x))^2
-    recurrence_matches_definition: bool
 
 
 def verify_identities(r: int) -> IdentityReport:
@@ -298,11 +270,8 @@ def verify_identities(r: int) -> IdentityReport:
     f_minus_2, x_minus_2 = f - 2, x - 2
     minus_printed = f_minus_2 == x_minus_2 * h_neg * h_neg
     # (f-2)/(x-2) has one monic square root, so a product check names it
-    for g_factor, which in ((h, "h(x)"), (h_neg, "h(-x)")):
-        if g_factor.lc() == 1 and f_minus_2 == x_minus_2 * g_factor * g_factor:
-            break
-    else:
-        g_factor, which = poly_sqrt(f_minus_2.exact_div(x_minus_2)), "other"
+    which = next((name for g, name in ((h, "h(x)"), (h_neg, "h(-x)"))
+                  if g.lc() == 1 and f_minus_2 == x_minus_2 * g * g), "other")
     prod = h * h_neg
     sq_ok = (f * f - 4) == (x * x - 4) * prod * prod
     return IdentityReport(
@@ -310,11 +279,9 @@ def verify_identities(r: int) -> IdentityReport:
         f=f,
         h=h,
         f_plus_2_printed=plus_ok,
-        f_minus_2_square_factor=g_factor,
         f_minus_2_factor_is=which,
         f_minus_2_printed=minus_printed,
         f_squared_minus_4=sq_ok,
-        recurrence_matches_definition=True,  # asserted inside omega_min_poly
     )
 
 

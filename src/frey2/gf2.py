@@ -13,11 +13,10 @@ those tables (`_ldivmod`, `_lsquare_mod`, `_lgcd`).  `roots_in_gf2k` and
 by repeated squaring, each power once per polynomial: roots come from
 gcd(H, x^(2^k) - x), split apart by traces that are linear combinations
 of those powers; factor degrees from gcd(H, x^(q^d) - x), d = 1..deg H.
-The cost grows polynomially in k.  `irreducible_factor_degrees` also
-works over the prime fields `algebra.PrimeField`, in `Poly` arithmetic;
-`frobenius_power_mod` and `linear_factor_count` stay on `Poly` arithmetic
-as the independent oracle of the kernel.  The package is pure Python;
-`KERNEL_BACKEND` names that single backend.
+The cost grows polynomially in k.  `frobenius_power_mod` and
+`linear_factor_count` stay on `Poly` arithmetic as the independent oracle
+of the kernel.  The package is pure Python; `KERNEL_BACKEND` names that
+single backend.
 """
 
 from functools import lru_cache
@@ -380,58 +379,29 @@ def linear_factor_count(H: Poly, field: GF2k) -> int:
 
 
 def irreducible_factor_degrees(H: Poly) -> set[int]:
-    """Degrees of the irreducible factors of a nonzero polynomial H over any
-    finite field with q = `order` elements (GF(2^k) or a `PrimeField`).
+    """Degrees of the irreducible factors of a nonzero polynomial H over
+    GF(q), q = 2^k.
 
     Computes deg gcd(H, x^(q^d) - x) for d = 1..deg H; that degree equals
     the sum of e * (number of distinct degree-e factors) over e | d, from
     which the factor-degree counts are peeled off.  Only degrees are
     needed, never the factors themselves (Cantor-Zassenhaus 1981).  Each
-    Frobenius power x^(q^d) mod H is the q-th power of the previous one.
-    Over GF(2^k) that step is k squarings on the int-list kernel that
-    `roots_in_gf2k` runs on; over a prime field it is square-and-multiply
-    in `Poly` arithmetic.
+    Frobenius power x^(q^d) mod H is the q-th power of the previous one:
+    k squarings on the int-list kernel that `roots_in_gf2k` runs on.
     """
     if H.is_zero():
         raise ZeroInput("factor degrees of the zero polynomial")
     if H.degree() == 0:
         return set()
-    base = H.base
-    if isinstance(base, GF2k):
-        exp, log = base._exp, base._log
-        h = _lmonic(list(H.cs), exp, log)
-
-        def frobenius(xq):
-            for _ in range(base.k):
-                xq = _lsquare_mod(xq, h, exp, log)
-            return xq
-
-        def root_degree(xq):
-            return len(_lgcd(h, _ladd(xq, [0, 1]), exp, log)) - 1
-
-        xq = _ldivmod([0, 1], h, exp, log)[1]
-    else:
-        ring = H.ring
-        H = H.monic()
-        q_bits = bin(base.order)[3:]
-
-        def frobenius(xq):
-            # left-to-right square-and-multiply for xq -> xq^q
-            prev = xq
-            for bit in q_bits:
-                xq = (xq * xq).divmod(H)[1]
-                if bit == "1":
-                    xq = (xq * prev).divmod(H)[1]
-            return xq
-
-        def root_degree(xq):
-            return gcd_monic(H, xq - ring.gen).degree()
-
-        xq = ring.gen.divmod(H)[1]
+    field = H.base
+    exp, log = field._exp, field._log
+    h = _lmonic(list(H.cs), exp, log)
+    xq = _ldivmod([0, 1], h, exp, log)[1]
     counts: dict[int, int] = {}
     for d in range(1, H.degree() + 1):
-        xq = frobenius(xq)
-        total = root_degree(xq)
+        for _ in range(field.k):
+            xq = _lsquare_mod(xq, h, exp, log)
+        total = len(_lgcd(h, _ladd(xq, [0, 1]), exp, log)) - 1
         covered = sum(e * c for e, c in counts.items() if d % e == 0)
         if (total - covered) % d:
             raise Frey2Error("factor degree accounting failed")

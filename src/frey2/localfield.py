@@ -172,7 +172,7 @@ class TameField(Domain):
 @dataclass(frozen=True)
 class FormalParam:
     """Formal parameter of valuation at least `least` > 0; it reduces to 0
-    in GF(2)."""
+    in GF(2).  An int or Fraction `least` is kept as a Fraction."""
 
     name: str
     least: Fraction
@@ -180,10 +180,7 @@ class FormalParam:
     def __post_init__(self):
         if self.least is None or self.least <= 0:
             raise ValueError("formal parameter needs a least weight > 0")
-
-    @staticmethod
-    def positive(name, least) -> "FormalParam":
-        return FormalParam(name, Fraction(least))
+        object.__setattr__(self, "least", Fraction(self.least))
 
 
 @dataclass(frozen=True)

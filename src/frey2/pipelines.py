@@ -165,13 +165,13 @@ def pipeline_ppr_even(case: str, r: int) -> PipelineResult:
     notes = []
 
     if case == "v_neg":
-        ring = LaurentRing(FormalParam.positive("u", Fraction(1, r)))
+        ring = LaurentRing(FormalParam("u", Fraction(1, r)))
         t = ring.term(1, -r)  # t = u^(-r)
     elif case == "v_t_pos":
-        ring = LaurentRing(FormalParam.positive("t", 1))
+        ring = LaurentRing(FormalParam("t", 1))
         t = ring.gen
     else:
-        ring = LaurentRing(FormalParam.positive("s1", 1))  # s1 = 1 - t
+        ring = LaurentRing(FormalParam("s1", 1))  # s1 = 1 - t
         t = ring.sub(ring.one, ring.gen)
 
     Rx = PolyRing(ring, "x")
@@ -230,7 +230,7 @@ def pipeline_35p(case: str) -> PipelineResult:
 
     # the chart x = a X / d, y = e Y / d^3; the display is written in the unit w
     if case == "v_t_pos":
-        ring = LaurentRing(FormalParam.positive("u", Fraction(1, 3)))
+        ring = LaurentRing(FormalParam("u", Fraction(1, 3)))
         u = ring.gen
         t = ring.term(1, 3)  # t = u^3
         a, d, e = u, ring.one, ring.pow(u, 3)
@@ -238,7 +238,7 @@ def pipeline_35p(case: str) -> PipelineResult:
         q0, p1 = ring.pow(w, 2), ring.mul(ring.from_int(3), ring.mul(u, ring.pow(w, 3)))
         disc_val, fiber = UNIT, SMOOTH
     elif case == "v_1mt_pos":
-        ring = LaurentRing(FormalParam.positive("u", Fraction(1, 5)))
+        ring = LaurentRing(FormalParam("u", Fraction(1, 5)))
         u = ring.gen
         t = ring.sub(ring.one, ring.term(1, 5))  # t = 1 - u^5
         a, d, e = ring.pow(u, 3), ring.one, ring.pow(u, 9)
@@ -246,7 +246,7 @@ def pipeline_35p(case: str) -> PipelineResult:
         q0, p1 = ring.mul(w, u), ring.mul(ring.from_int(3), ring.pow(w, 2))
         disc_val, fiber = UNIT, SMOOTH
     else:
-        ring = LaurentRing(FormalParam.positive("tau", 1))  # tau = 1/t
+        ring = LaurentRing(FormalParam("tau", 1))  # tau = 1/t
         u = ring.gen
         t = ring.term(1, -1)
         a, d, e = ring.one, u, ring.one
@@ -467,7 +467,7 @@ def odd_good_certificate(r: int) -> OddGoodCertificate:
 
     # Q[rho^+-1][A][zeta]; rho's declared weight is never read, since the
     # identity is one of Laurent polynomials in rho and so holds at every rho
-    lring = LaurentRing(FormalParam.positive("rho", 1))
+    lring = LaurentRing(FormalParam("rho", 1))
     aring = PolyRing(lring, "A")
     dom = PolyRing(aring, "zeta")
     Rx = PolyRing(dom, "x")

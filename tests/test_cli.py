@@ -88,6 +88,40 @@ def test_input_too_large_to_print_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["classify", "--signature", "ppr-even", "--r", "3", "--t", "1e100000000"],
+        ["classify", "--signature", "ppr-even", "--r", "3", "--t=-2.5E-100000000"],
+        ["reduce", "--pipeline", "odd-good", "--z", "7e1_000_000", "--s", "7/4", "--r", "19"],
+        ["reduce", "--pipeline", "odd-good", "--z", "1", "--s", "3e-100000", "--r", "19"],
+    ],
+    ids=["t", "t-negative-exponent", "z", "s-negative-exponent"],
+)
+def test_large_exponent_is_refused_before_it_is_expanded(capsys, monkeypatch, argv):
+    real = cli.Fraction
+
+    def unexpanded(*args):
+        if isinstance(args[0], str) and "e" in args[0].lower():
+            raise AssertionError(f"Fraction({args[0]!r}) was called")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "Fraction", unexpanded)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert re.fullmatch(r"usage error: --[tzs] needs a numerator and denominator "
+                        r"of at most \d+ digits\n", err)
+
+
+def test_negative_grid_range_names_the_equals_form(capsys):
+    code, out, err = run(capsys, "table", "--r", "3", "--grid-exponents", "-14285..3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--grid-exponents=LO..HI" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         # numerators and denominators of 215 and 390 digits
         ["classify", "--signature", "rrp", "--r", "19", "--t", f"{2**714}/{10**215 - 1}",
          "--oracle-check"],

@@ -370,7 +370,7 @@ def test_rational_change_edge_cases_match_cubic_reference(Q, P, change):
     assert (res.equation.Q, res.equation.P, res.factor) == _reference_change(E, M)
 
 
-LAURENT = LaurentRing(FormalParam.positive("u", 1))
+LAURENT = LaurentRing(FormalParam("u", 1))
 
 
 @settings(max_examples=30, deadline=None)

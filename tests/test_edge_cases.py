@@ -65,9 +65,9 @@ def test_classify_rejects_unknown_mode_and_signature():
 
 def test_weight_interval_validation():
     with pytest.raises(ValueError):
-        FormalParam.positive("u", 0)  # a least weight of 0 is not positive
+        FormalParam("u", 0)  # a least weight of 0 is not positive
     with pytest.raises(ValueError):
-        FormalParam.positive("u", F(-1, 3))
+        FormalParam("u", F(-1, 3))
     with pytest.raises(ValueError):
         FormalParam("u", None)  # no least weight
 

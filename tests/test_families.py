@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from frey2.algebra import PolyRing, QQ, poly_sqrt, poly_str
+from frey2.algebra import PolyRing, QQ, poly_str
 from frey2.curves import hyper_discriminant
 import frey2.families as families_mod
 from frey2.errors import DegenerateParameter, NotOddPrime, PipelineAssertionFailed
@@ -22,7 +22,6 @@ from frey2.families import (
     closed_form_certificate,
     czs_polynomial,
     darmon_f,
-    irreducibility_witness,
     omega_min_poly,
     printed_disc,
     proved_disc,
@@ -49,23 +48,42 @@ def test_omega_min_poly_examples():
     assert omega_min_poly(7) == x**3 + x * x - 2 * x - 1
 
 
-def test_recurrence_runs_once_per_r(monkeypatch):
-    """f and h at one r share one run of the recurrence V_r."""
-    calls = []
-    real = families_mod._chebyshev
-
-    def counted(r):
-        calls.append(r)
-        return real(r)
-
-    monkeypatch.setattr(families_mod, "_chebyshev", counted)
-    darmon_f.cache_clear()
+def test_recurrence_runs_once_per_r():
+    """f and h at one r share one run of the recurrence V_0..V_r."""
+    families_mod._chebyshev.cache_clear()
     omega_min_poly.cache_clear()
     for r in ALL_R:
         assert omega_min_poly(r) == omega_min_poly(r)
         assert darmon_f(r).degree() == r
         assert len(c_coefficients(r)) == (r - 1) // 2
-    assert calls == list(ALL_R)
+    info = families_mod._chebyshev.cache_info()
+    assert (info.misses, info.currsize) == (len(ALL_R), len(ALL_R))
+
+
+# each corruption of the recurrence's V_0..V_r and the first claim of
+# omega_min_poly it violates: a wrong V_1 breaks h and so the cyclotomic
+# identity; a wrong V_r leaves h sound and breaks only the definitional f
+CHEBYSHEV_FAULTS = {
+    "V_1 + 1": (1, "x^m h(x + 1/x) = 1 + x + ... + x^(r-1)"),
+    "V_r + 1": (-1, "f = (-1)^m x h(2 - x^2)"),
+}
+
+
+@pytest.mark.parametrize("r", [5, 7])
+@pytest.mark.parametrize("fault", CHEBYSHEV_FAULTS)
+def test_omega_min_poly_claims_fire_on_a_corrupted_recurrence(monkeypatch, fault, r):
+    index, claim = CHEBYSHEV_FAULTS[fault]
+    vs = list(families_mod._chebyshev(r))
+    vs[index] = vs[index] + 1
+    monkeypatch.setattr(families_mod, "_chebyshev", lambda r_: tuple(vs))
+    omega_min_poly.cache_clear()
+    with pytest.raises(PipelineAssertionFailed,
+                       match=re.escape(f"[omega_min_poly, r={r}] violated claim: {claim}")):
+        omega_min_poly(r)
+    # a failed claim is not cached: h is built again once V is sound
+    assert omega_min_poly.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert verify_identities(r).f_minus_2_factor_is == "h(x)"
 
 
 def test_not_odd_prime():
@@ -95,37 +113,29 @@ def test_values_at_pm2(r):
 
 
 @pytest.mark.parametrize("r", ALL_R)
-def test_irreducibility_witness(r):
-    assert irreducibility_witness(omega_min_poly(r)) is not None
-
-
-@pytest.mark.parametrize("r", ALL_R)
 def test_identity_suite(r):
     rep = verify_identities(r)
     assert rep.f_plus_2_printed
     assert rep.f_squared_minus_4
-    assert rep.recurrence_matches_definition
     # the printed f-2 factor h(-x) is wrong; the computed factor is h(x)
     assert rep.f_minus_2_factor_is == "h(x)"
     assert not rep.f_minus_2_printed
 
 
+# each substitute for h and the name verify_identities gives the square
+# factor of (f-2)/(x-2) against it: h(-x) is monic at r = 5, not at r = 7,
+# and is named through its own reflection; -h matches h only up to sign
+SQUARE_FACTOR_NAMES = {"h": "h(x)", "h(-x)": "h(-x)", "-h": "other", "h+1": "other"}
+
+
 @pytest.mark.parametrize("r", [5, 7])
-@pytest.mark.parametrize("substitute", ["h", "h(-x)", "-h", "h+1"])
+@pytest.mark.parametrize("substitute", SQUARE_FACTOR_NAMES)
 def test_identity_square_factor_against_the_square_root(monkeypatch, r, substitute):
-    # verify_identities names the square factor of (f-2)/(x-2) by product
-    # checks; the reference takes its monic square root.  Besides h, the
-    # substitutes match h(-x) (monic at r = 5, not at r = 7), h up to sign,
-    # and nothing.
-    f = darmon_f(r)  # cached before omega_min_poly is replaced
     h = omega_min_poly(r)
     sub = {"h": h, "h(-x)": h.compose(-x), "-h": -h, "h+1": h + 1}[substitute]
     monkeypatch.setattr(families_mod, "omega_min_poly", lambda _: sub)
     rep = verify_identities(r)
-    root = poly_sqrt((f - 2).exact_div(x - 2))
-    which = "h(x)" if root == sub else "h(-x)" if root == sub.compose(-x) else "other"
-    assert rep.f_minus_2_square_factor == root
-    assert rep.f_minus_2_factor_is == which
+    assert rep.f_minus_2_factor_is == SQUARE_FACTOR_NAMES[substitute]
 
 
 def test_c_coefficients():
@@ -328,14 +338,6 @@ def test_closed_form_families_list():
     assert set(CLOSED_FORM_FAMILIES) == {C_ZS, C_PLUS, H_RR, H_2R, H_35}
     with pytest.raises(ValueError):
         verify_closed_form_disc(C_MINUS, 3)
-
-
-def test_irreducibility_witness_primes():
-    """The distinct-degree test over GF(p) finds the same primes as before."""
-    got = [irreducibility_witness(omega_min_poly(r)) for r in ALL_R]
-    assert got == [2, 2, 2, 2, 2, 3, 2]
-    # reducible over Q, so no prime can witness irreducibility
-    assert irreducibility_witness((x + 1) * (x - 2)) is None
 
 
 @pytest.mark.parametrize("r", [3, 5, 7])

@@ -1,4 +1,4 @@
-"""Cross-checks of the exact discriminants against sympy, when it is installed."""
+"""Cross-checks of the exact discriminants and of h against sympy, when it is installed."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from frey2.algebra import QQ, PolyRing, discriminant
 from frey2.curves import hyper_discriminant
-from frey2.families import H_RR, build_curve
+from frey2.families import H_RR, build_curve, omega_min_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -44,3 +44,9 @@ def test_hyper_discriminant_h_rr_r7():
     lc = _sympy_poly(R.lc(), t)
     expected = sympy.discriminant(_sympy_bivariate(R), x) * lc**2 / sympy.Integer(2) ** (4 * (E.g + 1))
     assert sympy.expand(_sympy_poly(hyper_discriminant(E), t) - expected) == 0
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_omega_min_poly_is_the_minimal_polynomial(r):
+    expected = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / r), x)
+    assert sympy.expand(_sympy_poly(omega_min_poly(r), x) - expected) == 0
